@@ -18,6 +18,7 @@ from swarmbci.recording import (
     class_histogram,
     extract_trials,
     load_recording,
+    open_recording,
     save_recording,
 )
 
@@ -34,5 +35,6 @@ __all__ = [
     "class_histogram",
     "extract_trials",
     "load_recording",
+    "open_recording",
     "save_recording",
 ]

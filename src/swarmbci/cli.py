@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -10,12 +11,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import swarmbci
-from swarmbci.config import RunConfig, load_config_file
+from swarmbci.config import RunConfig, dataclass_from_dict, load_config_file
 from swarmbci.evaluate import CvResult, evaluate_recording, summarize_group
-from swarmbci.recording import ParadigmTiming, load_recording, save_recording
+from swarmbci.recording import ParadigmTiming, open_recording, save_recording
 from swarmbci.swarm import (
     SwarmConfig,
     behavior_name,
@@ -29,10 +31,29 @@ from swarmbci.swarm import (
 from swarmbci.synth import SynthConfig, generate_subject
 
 
+@contextlib.contextmanager
+def _atomic_path(path: Path):
+    """Yield a temp path beside ``path``; move it onto ``path`` if the body succeeds.
+
+    It lies in a new, randomly named directory made with ``mkdir`` (which
+    fails rather than reuse a name) and removed afterwards. The writer creates
+    the file: it gets a plain ``open``'s mode, and ext4 does not flush it on
+    close as it would a pre-created file the writer truncates.
+    """
+    tmp_dir = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp_dir.mkdir()
+    tmp = tmp_dir / path.name
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+        tmp_dir.rmdir()
+
+
 def _write_text_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    with _atomic_path(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def _dump_json(obj) -> str:
@@ -47,28 +68,18 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _dataclass_from_dict(cls, d: dict, what: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    return cls(**d)
-
-
 def _synth_config_from_dict(d: dict) -> SynthConfig:
     d = dict(d)
     if "timing" in d:
-        d["timing"] = _dataclass_from_dict(ParadigmTiming, d["timing"], "timing")
-    if "arena" in d:
-        raise ValueError("unknown synth keys: ['arena']")
-    return _dataclass_from_dict(SynthConfig, d, "synth")
+        d["timing"] = dataclass_from_dict(ParadigmTiming, d["timing"], "timing")
+    return dataclass_from_dict(SynthConfig, d, "synth")
 
 
 def _swarm_config_from_dict(d: dict) -> SwarmConfig:
     d = dict(d)
     if "arena" in d:
         d["arena"] = tuple(d["arena"])
-    return _dataclass_from_dict(SwarmConfig, d, "swarm")
+    return dataclass_from_dict(SwarmConfig, d, "swarm")
 
 
 def _load_sections(config_path) -> dict:
@@ -91,9 +102,8 @@ def cmd_synth(args) -> int:
         subject_id = f"subject{i + 1:02d}"
         rec = generate_subject(cfg, subject_id=subject_id)
         path = out / f"{subject_id}.nsr"
-        tmp = path.with_name(path.name + ".tmp")
-        save_recording(rec, tmp)
-        os.replace(tmp, path)
+        with _atomic_path(path) as tmp:
+            save_recording(rec, tmp)
         entries.append({
             "subject_id": subject_id,
             "file": path.name,
@@ -109,32 +119,28 @@ def cmd_synth(args) -> int:
 
 
 def _timing_from_sections(sections: dict) -> ParadigmTiming:
-    return _dataclass_from_dict(ParadigmTiming, sections.get("timing", {}), "timing")
+    return dataclass_from_dict(ParadigmTiming, sections.get("timing", {}), "timing")
 
 
-def _evaluate_one(path_str: str, config_dict: dict, timing_dict: dict) -> tuple[str, dict]:
-    config = RunConfig.from_dict(config_dict)
-    timing = ParadigmTiming(**timing_dict)
-    rec = load_recording(path_str)
-    result = evaluate_recording(rec, config, timing)
-    return rec.subject_id, result.to_dict()
+def _evaluate_one(path: str, config: RunConfig, timing: ParadigmTiming) -> tuple[str, CvResult]:
+    rec = open_recording(path)
+    return rec.subject_id, evaluate_recording(rec, config, timing)
 
 
 def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
                     jobs: int) -> dict[str, CvResult]:
     results: dict[str, CvResult] = {}
-    timing_dict = dataclasses.asdict(timing)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_evaluate_one, str(p), config.to_dict(), timing_dict)
-                       for p in paths]
-            outputs = [f.result() for f in futures]
-    else:
-        outputs = [_evaluate_one(str(p), config.to_dict(), timing_dict) for p in paths]
-    for subject_id, result_dict in outputs:
-        if subject_id in results:
-            raise ValueError(f"duplicate subject_id {subject_id!r} across input files")
-        results[subject_id] = CvResult.from_dict(result_dict)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        calls = [pool.submit(_evaluate_one, str(p), config, timing).result if jobs > 1
+                 else partial(_evaluate_one, str(p), config, timing) for p in paths]
+        for path, call in zip(paths, calls):
+            try:
+                subject_id, result = call()
+            except Exception as exc:
+                raise RuntimeError(f"evaluation of {path} failed: {exc}") from exc
+            if subject_id in results:
+                raise ValueError(f"duplicate subject_id {subject_id!r} across input files")
+            results[subject_id] = result
     return results
 
 
@@ -144,11 +150,7 @@ def cmd_evaluate(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
 
-    timing = _timing_from_sections(sections)
-    try:
-        results = _run_evaluation(args.nsr, config, timing, args.jobs)
-    except Exception as exc:
-        raise RuntimeError(f"evaluation failed ({', '.join(map(str, args.nsr))}): {exc}") from exc
+    results = _run_evaluation(args.nsr, config, _timing_from_sections(sections), args.jobs)
     summary = summarize_group(results)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -174,9 +176,8 @@ def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:
         state = set_behavior(state, name, swarm_cfg, seed=swarm_cfg.seed + idx)
         state, trajectory, steps = run_until_converged(state, swarm_cfg)
         fname = f"trajectory_{idx:03d}_{name.lower()}.csv"
-        tmp = out / (fname + ".tmp")
-        save_trajectory_csv(trajectory, tmp)
-        os.replace(tmp, out / fname)
+        with _atomic_path(out / fname) as tmp:
+            save_trajectory_csv(trajectory, tmp)
         files.append(fname)
         timeline.append({
             "index": idx,
@@ -228,7 +229,7 @@ def cmd_pipeline(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    rec = load_recording(args.nsr)
+    rec = open_recording(args.nsr)
     result = evaluate_recording(rec, run_config, _timing_from_sections(sections))
     files = ["cv_result.json", "predictions_fold0.json"]
     _write_text_atomic(out / "cv_result.json", _dump_json(result.to_dict()))

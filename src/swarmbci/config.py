@@ -52,20 +52,24 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown RunConfig keys: {sorted(unknown)}")
         kwargs = dict(d)
         if "band" in kwargs:
             kwargs["band"] = tuple(kwargs["band"])
-        return cls(**kwargs)
+        return dataclass_from_dict(cls, kwargs, "RunConfig")
 
     @property
     def fingerprint(self) -> str:
         """Stable hash of the canonicalized config."""
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+def dataclass_from_dict(cls, d: dict, what: str):
+    """``cls(**d)``, rejecting keys that are not fields of ``cls``."""
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**d)
 
 
 def load_config_file(path) -> dict:

@@ -66,21 +66,6 @@ class CspModel:
     def n_pairs(self) -> int:
         return len(self.selected) // 2
 
-    def to_dict(self) -> dict:
-        return {
-            "w": [[float(v) for v in row] for row in self.w],
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "selected": list(self.selected),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CspModel":
-        return cls(
-            np.asarray(d["w"], dtype=np.float64),
-            np.asarray(d["eigenvalues"], dtype=np.float64),
-            tuple(int(i) for i in d["selected"]),
-        )
-
 
 def _center(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)

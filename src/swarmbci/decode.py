@@ -34,18 +34,6 @@ class LdaModel:
     def score(self, features: np.ndarray) -> float:
         return float(np.dot(self.weights, features) + self.bias)
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": [float(v) for v in self.weights],
-            "bias": float(self.bias),
-            "shrinkage": float(self.shrinkage),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LdaModel":
-        return cls(np.asarray(d["weights"], dtype=np.float64), float(d["bias"]),
-                   float(d["shrinkage"]))
-
 
 @dataclass(frozen=True)
 class DecoderModel:
@@ -60,28 +48,6 @@ class DecoderModel:
     def __post_init__(self):
         if sorted(self.per_class) != list(EVENT_CODES):
             raise ValueError(f"decoder must cover classes {EVENT_CODES}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "filter_spec": self.filter_spec.to_dict() if self.filter_spec else None,
-            "config_fingerprint": self.config_fingerprint,
-            "log_variance_mode": self.log_variance_mode,
-            "per_class": {
-                str(c): {"csp": csp.to_dict(), "lda": lda.to_dict()}
-                for c, (csp, lda) in sorted(self.per_class.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecoderModel":
-        per_class = {
-            int(c): (CspModel.from_dict(entry["csp"]), LdaModel.from_dict(entry["lda"]))
-            for c, entry in d["per_class"].items()
-        }
-        fspec = FilterSpec.from_dict(d["filter_spec"]) if d.get("filter_spec") else None
-        return cls(per_class, int(d["n_pairs"]), fspec, d["config_fingerprint"],
-                   d.get("log_variance_mode", "plain"))
 
 
 def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float = 0.05) -> LdaModel:
@@ -155,9 +121,6 @@ def fit_decoder(train: TrialSet, n_pairs: int = 3, shrinkage: float = 0.05,
     if len(train) == 0:
         raise ValueError("cannot fit a decoder on an empty TrialSet")
     labels = np.asarray(train.labels)
-    for code in EVENT_CODES:
-        if int(np.sum(labels == code)) < 2:
-            raise ValueError(f"class {code} needs at least 2 training trials")
     scatters = np.stack([trial_scatter(t.samples) for t in train.trials])
     return _fit_decoder_from_scatters(
         scatters, train.trials[0].n_samples, labels, n_pairs, shrinkage,

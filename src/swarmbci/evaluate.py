@@ -15,8 +15,15 @@ import numpy as np
 from swarmbci.config import RunConfig
 from swarmbci.csp import trial_scatter
 from swarmbci.decode import _fit_decoder_from_scatters, _predict_from_scatter
-from swarmbci.dsp import design_bandpass, filter_channels, filter_trialset
-from swarmbci.recording import EVENT_CODES, ParadigmTiming, Recording, TrialSet, extract_trials
+from swarmbci.dsp import design_bandpass, filter_channels
+from swarmbci.recording import (
+    EVENT_CODES,
+    ParadigmTiming,
+    Recording,
+    RecordingFile,
+    TrialSet,
+    extract_trials,
+)
 
 
 @dataclass(frozen=True)
@@ -26,11 +33,6 @@ class FoldAssignment:
     fold_of_trial: tuple[int, ...]
     k: int
     seed: int
-
-    def train_test_indices(self, fold: int) -> tuple[list[int], list[int]]:
-        train = [i for i, f in enumerate(self.fold_of_trial) if f != fold]
-        test = [i for i, f in enumerate(self.fold_of_trial) if f == fold]
-        return train, test
 
 
 @dataclass
@@ -63,20 +65,6 @@ class CvResult:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CvResult":
-        return cls(
-            per_fold_accuracy=[float(a) for a in d["per_fold_accuracy"]],
-            mean_accuracy=float(d["mean_accuracy"]),
-            std_accuracy=float(d["std_accuracy"]),
-            confusion=np.asarray(d["confusion"], dtype=int),
-            seed=int(d["seed"]),
-            config_fingerprint=d["config_fingerprint"],
-            predicted_labels=[int(v) for v in d.get("predicted_labels", [])],
-            true_labels=[int(v) for v in d.get("true_labels", [])],
-            fold_of_trial=[int(v) for v in d.get("fold_of_trial", [])],
-        )
-
 
 @dataclass
 class GroupSummary:
@@ -92,9 +80,6 @@ class GroupSummary:
             "grand_mean": float(self.grand_mean),
             "grand_std": float(self.grand_std),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def stratified_kfold(labels, k: int, seed: int) -> FoldAssignment:
@@ -171,18 +156,19 @@ def cross_validate(ts: TrialSet, k: int, seed: int, config: RunConfig) -> CvResu
     )
 
 
-def evaluate_recording(rec: Recording, config: RunConfig,
+def evaluate_recording(rec: Recording | RecordingFile, config: RunConfig,
                        timing: ParadigmTiming = ParadigmTiming()) -> CvResult:
-    """Full single-subject pipeline: filter, epoch, cross-validate."""
+    """Full single-subject pipeline: filter and epoch each trial, cross-validate.
+
+    ``rec`` is a Recording or an opened RecordingFile. The "continuous"
+    stage filters each trial with ``settle_len`` samples of context on both
+    sides, which matches filtering the whole recording to within
+    ``SETTLE_TOL``; the "epoch" stage filters the trial alone.
+    """
     spec = design_bandpass(config.band[0], config.band[1], config.filter_order,
                            rec.sampling_rate_hz)
-    if config.filter_stage == "continuous":
-        filtered = Recording(rec.subject_id, rec.sampling_rate_hz, rec.layout,
-                             filter_channels(spec, rec.data), rec.markers,
-                             rec.notch_applied_hz)
-        ts = extract_trials(filtered, timing)
-    else:
-        ts = filter_trialset(spec, extract_trials(rec, timing))
+    margin = spec.settle_len if config.filter_stage == "continuous" else 0
+    ts = extract_trials(rec, timing, lambda window: filter_channels(spec, window), margin)
     return cross_validate(ts, config.k_folds, config.seed, config)
 
 

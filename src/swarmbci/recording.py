@@ -9,11 +9,14 @@ channels, ...). Amplitudes are in microvolts.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAGIC = b"NSR1"
+#: Longest JSON header line read before a file is declared malformed.
+MAX_HEADER_BYTES = 1 << 24
 
 #: Command codes shared by markers, trials, and the swarm simulator.
 EVENT_CODES = (1, 2, 3, 4)
@@ -30,6 +33,15 @@ DEFAULT_64_CHANNELS = (
 
 class NsrFormatError(ValueError):
     """Raised when a file does not conform to the NSR format."""
+
+
+def _check_markers(markers, n_samples: int) -> None:
+    idx = [m.sample_index for m in markers]
+    for i, s in enumerate(idx):
+        if s >= n_samples:
+            raise ValueError(f"marker {i} out of range: sample_index {s} >= n_samples {n_samples}")
+    if idx != sorted(idx):
+        raise ValueError("markers must be sorted ascending by sample_index")
 
 
 @dataclass(frozen=True)
@@ -93,10 +105,6 @@ class ParadigmTiming:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
-    @property
-    def trial_s(self) -> float:
-        return self.rest_s + self.cue_s + self.fixation_s + self.imagery_s
-
 
 @dataclass
 class Recording:
@@ -125,15 +133,7 @@ class Recording:
                 f"{self.layout.count} channels"
             )
         self.markers = list(self.markers)
-        for i, m in enumerate(self.markers):
-            if m.sample_index >= self.n_samples:
-                raise ValueError(
-                    f"marker {i} out of range: sample_index {m.sample_index} "
-                    f">= n_samples {self.n_samples}"
-                )
-        idx = [m.sample_index for m in self.markers]
-        if idx != sorted(idx):
-            raise ValueError("markers must be sorted ascending by sample_index")
+        _check_markers(self.markers, self.n_samples)
 
     @property
     def n_channels(self) -> int:
@@ -142,6 +142,10 @@ class Recording:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
+
+    def window(self, start: int, stop: int) -> np.ndarray:
+        """Channels x (stop - start) view of samples [start, stop)."""
+        return self.data[:, start:stop]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Recording):
@@ -157,6 +161,27 @@ class Recording:
                 self.data.view(np.uint32), other.data.view(np.uint32)
             )  # bit-exact, NaN-safe
         )
+
+
+@dataclass(frozen=True)
+class RecordingFile:
+    """An NSR file's checked header (see :func:`open_recording`); samples stay on disk."""
+
+    path: str
+    subject_id: str
+    sampling_rate_hz: float
+    layout: ChannelLayout
+    markers: tuple[EventMarker, ...]
+    notch_applied_hz: float | None
+    n_samples: int
+    offset: int  # byte offset of frame 0
+
+    def window(self, start: int, stop: int) -> np.ndarray:
+        """Channels x (stop - start) view of samples [start, stop), in one positioned read."""
+        n_ch = self.layout.count
+        frames = np.fromfile(self.path, "<f4", (stop - start) * n_ch,
+                             offset=self.offset + 4 * start * n_ch)
+        return frames.reshape(stop - start, n_ch).T
 
 
 @dataclass(frozen=True)
@@ -237,69 +262,85 @@ def save_recording(rec: Recording, path) -> None:
         fh.write(payload.tobytes())
 
 
-def load_recording(path) -> Recording:
-    """Read an NSR file back into a :class:`Recording`."""
+def open_recording(path) -> RecordingFile:
+    """Check an NSR file's magic, header and payload size; no sample is read."""
     with open(path, "rb") as fh:
-        magic = fh.readline().rstrip(b"\n")
-        if magic != MAGIC:
+        magic = fh.readline(len(MAGIC) + 1)
+        if magic != MAGIC + b"\n":
+            magic = magic.rstrip(b"\n")
             raise NsrFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        header_line = fh.readline()
+        header_line = fh.readline(MAX_HEADER_BYTES)
         if not header_line:
             raise NsrFormatError(f"{path}: missing JSON header line")
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise NsrFormatError(f"{path}: malformed JSON header: {exc}") from exc
-        payload = fh.read()
+        if not header_line.endswith(b"\n"):
+            raise NsrFormatError(
+                f"{path}: JSON header line has no newline within {MAX_HEADER_BYTES} bytes"
+            )
+        offset = fh.tell()
+        payload_len = os.fstat(fh.fileno()).st_size - offset
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise NsrFormatError(f"{path}: malformed JSON header: {exc}") from exc
 
     try:
         subject_id = str(header["subject_id"])
         fs = float(header["sampling_rate_hz"])
         channels = [str(c) for c in header["channels"]]
         notch = header["notch_hz"]
-        marker_pairs = header["markers"]
+        marker_pairs = list(header["markers"])
         n_samples = int(header["n_samples"])
+        if notch is not None:
+            notch = float(notch)
     except (KeyError, TypeError, ValueError) as exc:
         raise NsrFormatError(f"{path}: malformed header: {exc}") from exc
-    if notch is not None:
-        notch = float(notch)
 
     n_channels = len(channels)
     expected = n_channels * n_samples * 4
-    if len(payload) != expected:
+    if payload_len != expected:
         raise NsrFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected} "
+            f"{path}: payload is {payload_len} bytes, expected {expected} "
             f"({n_channels} channels x {n_samples} samples x 4)"
         )
-    frames = np.frombuffer(payload, dtype="<f4").reshape(n_samples, n_channels)
-    data = np.ascontiguousarray(frames.T)
 
     markers = []
     for i, pair in enumerate(marker_pairs):
         try:
             sample_index, event_code = int(pair[0]), int(pair[1])
-            marker = EventMarker(sample_index, event_code)
+            markers.append(EventMarker(sample_index, event_code))
         except (TypeError, IndexError, ValueError) as exc:
             raise NsrFormatError(f"{path}: malformed marker {i}: {exc}") from exc
-        if marker.sample_index >= n_samples:
-            raise NsrFormatError(
-                f"{path}: marker {i} out of range: sample_index "
-                f"{marker.sample_index} >= n_samples {n_samples}"
-            )
-        markers.append(marker)
 
     try:
-        return Recording(subject_id, fs, ChannelLayout(tuple(channels)), data, markers, notch)
+        if fs <= 0:
+            raise ValueError("sampling_rate_hz must be positive")
+        _check_markers(markers, n_samples)
+        return RecordingFile(str(path), subject_id, fs, ChannelLayout(tuple(channels)),
+                             tuple(markers), notch, n_samples, offset)
     except ValueError as exc:
         raise NsrFormatError(f"{path}: {exc}") from exc
 
 
-def extract_trials(rec: Recording, timing: ParadigmTiming = ParadigmTiming()) -> TrialSet:
+def load_recording(path) -> Recording:
+    """Read an NSR file, with the checks of :func:`open_recording`, into a :class:`Recording`."""
+    src = open_recording(path)
+    return Recording(src.subject_id, src.sampling_rate_hz, src.layout,
+                     src.window(0, src.n_samples), list(src.markers), src.notch_applied_hz)
+
+
+def extract_trials(rec: Recording | RecordingFile, timing: ParadigmTiming = ParadigmTiming(),
+                   condition=None, margin: int = 0) -> TrialSet:
     """Cut the imagery window after every marker into a labeled trial.
 
     Markers denote imagery onset; each trial is exactly
     ``imagery_s * sampling_rate_hz`` samples. Rest/cue/fixation segments
     are discarded. A recording without markers yields an empty TrialSet.
+
+    Each trial is read on its own with ``margin`` extra samples on both
+    sides, clipped to the recording. ``condition`` (e.g. a zero-phase
+    filter) maps that window, as float64, to one of the same shape; the
+    trial is cropped out of it as float32. A NaN or Inf in a window read
+    raises ``ValueError`` naming the channel and absolute sample index.
     """
     t_len = int(round(timing.imagery_s * rec.sampling_rate_hz))
     trials = []
@@ -310,7 +351,19 @@ def extract_trials(rec: Recording, timing: ParadigmTiming = ParadigmTiming()) ->
                 f"marker {i} window out of range: [{m.sample_index}, {end}) "
                 f"exceeds n_samples {rec.n_samples}"
             )
-        trials.append(Trial(m.event_code, rec.data[:, m.sample_index:end].copy()))
+        lo, hi = max(m.sample_index - margin, 0), min(end + margin, rec.n_samples)
+        window = rec.window(lo, hi)
+        finite = np.isfinite(window)
+        if not finite.all():
+            sample, ch = np.argwhere(~finite.T)[0]  # earliest sample first
+            raise ValueError(
+                f"subject {rec.subject_id!r}: non-finite value {window[ch, sample]} in "
+                f"channel {rec.layout.names[ch]} at sample {lo + sample}"
+            )
+        if condition is not None:
+            window = condition(np.array(window, dtype=np.float64, order="C"))
+        samples = np.array(window[:, m.sample_index - lo:end - lo], dtype=np.float32, order="C")
+        trials.append(Trial(m.event_code, samples))
     return TrialSet(trials, rec.layout, rec.sampling_rate_hz)
 
 

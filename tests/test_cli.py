@@ -1,11 +1,14 @@
 import json
+import os
+import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from swarmbci.cli import main
+from swarmbci.cli import _write_text_atomic, main
 from swarmbci.config import RunConfig
-from swarmbci.recording import load_recording
+from swarmbci.recording import load_recording, save_recording
 
 SMALL_CONFIG = {
     "run": {"seed": 5, "n_pairs": 2},
@@ -101,6 +104,31 @@ class TestEvaluate:
                      "--out", str(tmp_path / "s.json")])
         assert code == 1
         assert "subject01.nsr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_only_the_failed_file_named(self, tmp_path, config_path, subject_dir, capsys, jobs):
+        bad = subject_dir / "subject02.nsr"
+        bad.write_bytes(bad.read_bytes()[:-3])
+        code = main(["evaluate", str(subject_dir / "subject01.nsr"), str(bad),
+                     "--config", config_path, "--out", str(tmp_path / "s.json"),
+                     "--jobs", jobs])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "subject02.nsr" in err and "payload" in err
+        assert "subject01.nsr" not in err
+
+    def test_non_finite_sample_named(self, tmp_path, config_path, subject_dir, capsys):
+        path = subject_dir / "subject01.nsr"
+        rec = load_recording(path)
+        onset = rec.markers[3].sample_index
+        rec.data[5, onset + 10] = np.nan
+        save_recording(rec, path)
+        code = main(["evaluate", str(path), "--config", config_path,
+                     "--out", str(tmp_path / "s.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "subject01.nsr" in err
+        assert f"channel {rec.layout.names[5]} at sample {onset + 10}" in err
 
     def test_missing_file(self, tmp_path, config_path, capsys):
         code = main(["evaluate", str(tmp_path / "nope.nsr"),
@@ -201,6 +229,36 @@ class TestPipeline:
         assert m1 == m2
         for rel in m1["files"]:
             assert (pipeline_out / rel).read_bytes() == (again / rel).read_bytes(), rel
+
+
+class TestAtomicWrites:
+    def test_existing_tmp_neither_clobbered_nor_left_behind(self, tmp_path):
+        target = tmp_path / "out.json"
+        stale = tmp_path / "out.json.tmp"
+        stale.write_text("someone else's")
+        _write_text_atomic(target, "{}\n")
+        assert target.read_text() == "{}\n"
+        assert stale.read_text() == "someone else's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "out.json.tmp"]
+
+    def test_mode_is_that_of_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        target = tmp_path / "atomic.txt"
+        _write_text_atomic(target, "x")
+        assert stat.S_IMODE(os.stat(target).st_mode) == stat.S_IMODE(os.stat(plain).st_mode)
+
+    def test_failed_write_removes_the_temp_file(self, tmp_path):
+        target = tmp_path / "out.json"
+        with pytest.raises(UnicodeEncodeError):
+            _write_text_atomic(target, "\ud800")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_commands_leave_no_temp_files(self, tmp_path, config_path, subject_dir):
+        assert main(["simulate", "--config", config_path, "--out", str(tmp_path / "sim"),
+                     "--sequence", "4,1"]) == 0
+        for out in (subject_dir, tmp_path / "sim"):
+            assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 class TestConfigHandling:

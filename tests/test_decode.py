@@ -205,17 +205,3 @@ class TestPredict:
         model = fit_decoder(ts, n_pairs=2)
         with pytest.raises(ValueError, match="channels"):
             predict(model, Trial(1, np.random.default_rng(0).standard_normal((3, 100))))
-
-
-class TestDecoderSerialization:
-    def test_json_round_trip(self):
-        ts = small_synth_trialset(trials_per_class=4, seed=11)
-        model = fit_decoder(ts, n_pairs=2, config_fingerprint="abc123")
-        restored = DecoderModel.from_dict(model.to_dict())
-        assert restored.config_fingerprint == "abc123"
-        probe = ts.trials[3]
-        label_a, scores_a = predict(model, probe)
-        label_b, scores_b = predict(restored, probe)
-        assert label_a == label_b
-        for code in (1, 2, 3, 4):
-            assert scores_a[code] == pytest.approx(scores_b[code], rel=1e-12)

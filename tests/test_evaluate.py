@@ -155,6 +155,14 @@ class TestEvaluateRecording:
         res = evaluate_recording(rec, cfg, SMALL_TIMING)
         assert res.mean_accuracy >= 0.75
 
+    def test_non_finite_sample_named(self):
+        rec = small_subject(0.9, seed=43)
+        onset = rec.markers[7].sample_index
+        rec.data[4, onset - 3] = np.inf  # inside the continuous stage's margin
+        expected = f"channel {rec.layout.names[4]} at sample {onset - 3}"
+        with pytest.raises(ValueError, match=expected):
+            evaluate_recording(rec, RunConfig(seed=1, n_pairs=2), SMALL_TIMING)
+
     def test_fingerprint_recorded(self):
         rec = small_subject(0.5, seed=42)
         cfg = RunConfig(seed=1, n_pairs=2)

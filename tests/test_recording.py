@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from swarmbci import recording
 from swarmbci.recording import (
     ChannelLayout,
     EventMarker,
@@ -12,8 +15,12 @@ from swarmbci.recording import (
     class_histogram,
     extract_trials,
     load_recording,
+    open_recording,
     save_recording,
 )
+
+#: Both NSR readers make the same checks.
+READERS = (load_recording, open_recording)
 
 
 def make_recording(n_channels=4, n_samples=1000, fs=1000.0, markers=(), seed=0,
@@ -42,8 +49,9 @@ class TestNsrFormat:
         magic, header, payload = raw.split(b"\n", 2)
         header = header.replace(b'"markers":[]', b'"markers":[[9999999,1]]')
         path.write_bytes(magic + b"\n" + header + b"\n" + payload)
-        with pytest.raises(NsrFormatError, match="out of range"):
-            load_recording(path)
+        for reader in READERS:
+            with pytest.raises(NsrFormatError, match="out of range"):
+                reader(path)
 
     def test_round_trip_64ch(self, tmp_path):
         markers = [(i * 50, (i % 4) + 1) for i in range(10)]
@@ -55,16 +63,18 @@ class TestNsrFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.nsr"
         path.write_bytes(b"NOPE\n{}\n")
-        with pytest.raises(NsrFormatError, match="magic"):
-            load_recording(path)
+        for reader in READERS:
+            with pytest.raises(NsrFormatError, match="magic"):
+                reader(path)
 
     def test_truncated_payload(self, tmp_path):
         rec = make_recording(n_channels=2, n_samples=10)
         path = tmp_path / "t.nsr"
         save_recording(rec, path)
         path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(NsrFormatError, match="payload"):
-            load_recording(path)
+        for reader in READERS:
+            with pytest.raises(NsrFormatError, match="payload"):
+                reader(path)
 
     def test_save_rejects_shape_mismatch_before_write(self, tmp_path):
         rec = make_recording(n_channels=4, n_samples=100)
@@ -96,6 +106,104 @@ class TestNsrFormat:
             path = tmp_path / f"{i}.nsr"
             save_recording(rec, path)
             assert load_recording(path) == rec
+
+
+def _split_nsr(path):
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    return json.loads(header), payload
+
+
+def _write_nsr(path, header, payload, header_line=None):
+    if header_line is None:
+        header_line = json.dumps(header).encode() + b"\n"
+    path.write_bytes(b"NSR1\n" + header_line + payload)
+
+
+@pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
+class TestBadFiles:
+    @pytest.fixture
+    def good(self, tmp_path):
+        rec = make_recording(n_channels=3, n_samples=200, markers=[(10, 1), (120, 2)])
+        path = tmp_path / "good.nsr"
+        save_recording(rec, path)
+        return path
+
+    def test_good_file_accepted(self, reader, good):
+        assert reader(good).subject_id == "test"
+
+    def test_missing_header_line(self, reader, tmp_path):
+        path = tmp_path / "x.nsr"
+        path.write_bytes(b"NSR1\n")
+        with pytest.raises(NsrFormatError, match="missing JSON header"):
+            reader(path)
+
+    def test_malformed_json(self, reader, good):
+        _, payload = _split_nsr(good)
+        _write_nsr(good, None, payload, header_line=b"{not json\n")
+        with pytest.raises(NsrFormatError, match="malformed JSON"):
+            reader(good)
+
+    def test_partial_header(self, reader, good):
+        header_line = good.read_bytes().split(b"\n", 2)[1]
+        good.write_bytes(b"NSR1\n" + header_line[:20])
+        with pytest.raises(NsrFormatError, match="no newline"):
+            reader(good)
+
+    def test_header_without_newline_is_not_read_to_the_end(self, reader, good, monkeypatch):
+        monkeypatch.setattr(recording, "MAX_HEADER_BYTES", 256)
+        good.write_bytes(b"NSR1\n" + b"x" * 4096)
+        with pytest.raises(NsrFormatError, match="no newline within 256 bytes"):
+            reader(good)
+
+    @pytest.mark.parametrize("key", ["subject_id", "sampling_rate_hz", "channels",
+                                     "notch_hz", "markers", "n_samples"])
+    def test_missing_key(self, reader, good, key):
+        header, payload = _split_nsr(good)
+        del header[key]
+        _write_nsr(good, header, payload)
+        with pytest.raises(NsrFormatError, match="malformed header"):
+            reader(good)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_payload_one_byte_off(self, reader, good, delta):
+        header, payload = _split_nsr(good)
+        payload = payload[:-1] if delta < 0 else payload + b"\0"
+        _write_nsr(good, header, payload)
+        with pytest.raises(NsrFormatError, match="payload"):
+            reader(good)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("markers", [[120, 2], [10, 1]], "sorted"),
+        ("markers", [[10, 7]], "malformed marker 0"),
+        ("channels", ["A", "A", "B"], "unique"),
+        ("sampling_rate_hz", 0.0, "positive"),
+        ("sampling_rate_hz", -250.0, "positive"),
+    ])
+    def test_invalid_field(self, reader, good, field, value, message):
+        header, payload = _split_nsr(good)
+        header[field] = value
+        _write_nsr(good, header, payload)
+        with pytest.raises(NsrFormatError, match=message):
+            reader(good)
+
+
+class TestRecordingFile:
+    def test_windows_equal_the_loaded_data(self, tmp_path):
+        rec = make_recording(n_channels=5, n_samples=300, markers=[(0, 1), (250, 4)], seed=8)
+        path = tmp_path / "r.nsr"
+        save_recording(rec, path)
+        src = open_recording(path)
+        assert (src.subject_id, src.n_samples, src.markers) == ("test", 300, tuple(rec.markers))
+        for start, stop in ((0, 300), (0, 1), (17, 123), (299, 300)):
+            np.testing.assert_array_equal(src.window(start, stop), rec.data[:, start:stop])
+
+    def test_extract_trials_same_from_file_and_memory(self, tmp_path):
+        rec = make_recording(n_channels=3, n_samples=9000, markers=[(0, 1), (4500, 2)])
+        path = tmp_path / "r.nsr"
+        save_recording(rec, path)
+        for mem, disk in zip(extract_trials(rec).trials,
+                             extract_trials(open_recording(path)).trials):
+            np.testing.assert_array_equal(mem.samples, disk.samples)
 
 
 class TestRecordingInvariants:
@@ -161,6 +269,36 @@ class TestExtractTrials:
         for ta, tb in zip(a.trials, b.trials):
             assert ta.label == tb.label
             np.testing.assert_array_equal(ta.samples, tb.samples)
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_named_by_channel_and_absolute_sample(self, value):
+        rec = make_recording(n_channels=3, n_samples=12000, markers=[(100, 1), (6000, 2)])
+        rec.data[2, 6123] = value
+        with pytest.raises(ValueError, match=r"subject 'test'.* channel Ch03 at sample 6123"):
+            extract_trials(rec, ParadigmTiming())
+
+    def test_found_in_the_margin(self):
+        rec = make_recording(n_channels=2, n_samples=12000, markers=[(6000, 2)])
+        rec.data[0, 5990] = np.nan
+        extract_trials(rec, ParadigmTiming())
+        with pytest.raises(ValueError, match="channel Ch01 at sample 5990"):
+            extract_trials(rec, ParadigmTiming(), margin=20)
+
+    def test_outside_every_window_ignored(self):
+        rec = make_recording(n_channels=2, n_samples=12000, markers=[(6000, 2)])
+        rec.data[1, 10] = np.nan
+        rec.data[0, 11000] = np.inf
+        assert len(extract_trials(rec, ParadigmTiming(), margin=100)) == 1
+
+    def test_read_from_file(self, tmp_path):
+        rec = make_recording(n_channels=2, n_samples=6000, markers=[(1000, 3)])
+        rec.data[1, 1500] = np.nan
+        path = tmp_path / "nan.nsr"
+        save_recording(rec, path)
+        with pytest.raises(ValueError, match=r"subject 'test'.* channel Ch02 at sample 1500"):
+            extract_trials(open_recording(path), ParadigmTiming())
 
 
 class TestClassHistogram:
