@@ -145,6 +145,8 @@ def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
 
 
 def cmd_evaluate(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     sections = _load_sections(args.config)
     config = RunConfig.from_dict(sections.get("run", {}))
     if args.seed is not None:

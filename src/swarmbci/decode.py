@@ -12,15 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from swarmbci.csp import (
-    CspModel,
-    features_from_scatter,
-    fit_csp_matrices,
-    trial_scatter,
-    _mean_normalized,
-)
-from swarmbci.dsp import FilterSpec
-from swarmbci.recording import EVENT_CODES, Trial, TrialSet
+from swarmbci.config import RunConfig
+from swarmbci.csp import CspModel, _mean_normalized, features_from_scatter, fit_csp_matrices
+from swarmbci.recording import EVENT_CODES
 
 
 @dataclass(frozen=True)
@@ -40,17 +34,14 @@ class DecoderModel:
     """One-vs-rest composition of four (CspModel, LdaModel) pairs."""
 
     per_class: dict[int, tuple[CspModel, LdaModel]]
-    n_pairs: int
-    filter_spec: FilterSpec | None
-    config_fingerprint: str
-    log_variance_mode: str = "plain"
+    log_variance_mode: str
 
     def __post_init__(self):
         if sorted(self.per_class) != list(EVENT_CODES):
             raise ValueError(f"decoder must cover classes {EVENT_CODES}")
 
 
-def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float = 0.05) -> LdaModel:
+def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float) -> LdaModel:
     """Fit a binary LDA from positive/negative feature vectors.
 
     Pooled covariance is the total within-class scatter divided by the
@@ -91,60 +82,42 @@ def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float = 0.05) -> LdaMod
     return LdaModel(weights, bias, shrinkage)
 
 
-def _fit_decoder_from_scatters(scatters: np.ndarray, n_samples: int, labels: np.ndarray,
-                               n_pairs: int, shrinkage: float, mode: str,
-                               filter_spec: FilterSpec | None,
-                               fingerprint: str) -> DecoderModel:
-    """Fit the OVR decoder from precomputed per-trial scatter matrices."""
+def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
+                config: RunConfig) -> DecoderModel:
+    """Fit four class-vs-rest (CSP, LDA) pairs from stacked (n, C, C) trial scatters.
+
+    ``n_samples`` is the trial length the scatters were summed over;
+    ``config`` supplies ``n_pairs``, ``shrinkage`` and ``log_variance_mode``.
+    """
     labels = np.asarray(labels)
     per_class = {}
     for code in EVENT_CODES:
         pos_mask = labels == code
         if int(pos_mask.sum()) < 2:
             raise ValueError(f"class {code} needs at least 2 training trials")
-        c_pos = _mean_normalized(scatters[pos_mask])
-        c_neg = _mean_normalized(scatters[~pos_mask])
-        csp_model = fit_csp_matrices(c_pos, c_neg, n_pairs=n_pairs)
-        feats = np.stack([
-            features_from_scatter(csp_model, s, n_samples, mode) for s in scatters
-        ])
-        lda_model = fit_lda(feats[pos_mask], feats[~pos_mask], shrinkage=shrinkage)
+        csp_model = fit_csp_matrices(_mean_normalized(scatters[pos_mask]),
+                                     _mean_normalized(scatters[~pos_mask]), config.n_pairs)
+        feats = features_from_scatter(csp_model, scatters, n_samples, config.log_variance_mode)
+        lda_model = fit_lda(feats[pos_mask], feats[~pos_mask], config.shrinkage)
         per_class[code] = (csp_model, lda_model)
-    return DecoderModel(per_class, n_pairs, filter_spec, fingerprint, mode)
+    return DecoderModel(per_class, config.log_variance_mode)
 
 
-def fit_decoder(train: TrialSet, n_pairs: int = 3, shrinkage: float = 0.05,
-                log_variance_mode: str = "plain",
-                filter_spec: FilterSpec | None = None,
-                config_fingerprint: str = "") -> DecoderModel:
-    """Fit four class-vs-rest (CSP, LDA) pairs on a training TrialSet."""
-    if len(train) == 0:
-        raise ValueError("cannot fit a decoder on an empty TrialSet")
-    labels = np.asarray(train.labels)
-    scatters = np.stack([trial_scatter(t.samples) for t in train.trials])
-    return _fit_decoder_from_scatters(
-        scatters, train.trials[0].n_samples, labels, n_pairs, shrinkage,
-        log_variance_mode, filter_spec, config_fingerprint,
-    )
+def predict(model: DecoderModel, scatter: np.ndarray,
+            n_samples: int) -> tuple[int, dict[int, float]]:
+    """Decode one trial from its (C, C) scatter: argmax of the four OVR scores.
 
-
-def _predict_from_scatter(model: DecoderModel, scatter: np.ndarray,
-                          n_samples: int) -> tuple[int, dict[int, float]]:
+    Ties break to the smallest event code.
+    """
+    n_channels = model.per_class[1][0].n_channels
+    if np.shape(scatter) != (n_channels, n_channels):
+        raise ValueError(
+            f"scatter of shape {np.shape(scatter)} does not fit a decoder of {n_channels} channels"
+        )
     scores = {}
     for code in EVENT_CODES:
         csp_model, lda_model = model.per_class[code]
-        feats = features_from_scatter(csp_model, scatter, n_samples,
-                                      model.log_variance_mode)
+        feats = features_from_scatter(csp_model, scatter, n_samples, model.log_variance_mode)
         scores[code] = lda_model.score(feats)
     best = max(EVENT_CODES, key=lambda c: (scores[c], -c))
     return best, scores
-
-
-def predict(model: DecoderModel, trial: Trial) -> tuple[int, dict[int, float]]:
-    """Decode one trial: argmax of the four OVR scores, ties to the smallest code."""
-    first_csp = model.per_class[1][0]
-    if trial.n_channels != first_csp.n_channels:
-        raise ValueError(
-            f"trial has {trial.n_channels} channels, decoder expects {first_csp.n_channels}"
-        )
-    return _predict_from_scatter(model, trial_scatter(trial.samples), trial.n_samples)

@@ -14,7 +14,7 @@ import numpy as np
 
 from swarmbci.config import RunConfig
 from swarmbci.csp import trial_scatter
-from swarmbci.decode import _fit_decoder_from_scatters, _predict_from_scatter
+from swarmbci.decode import fit_decoder, predict
 from swarmbci.dsp import design_bandpass, filter_channels
 from swarmbci.recording import (
     EVENT_CODES,
@@ -125,17 +125,13 @@ def cross_validate(ts: TrialSet, k: int, seed: int, config: RunConfig) -> CvResu
     for fold in range(k):
         train_mask = folds != fold
         try:
-            model = _fit_decoder_from_scatters(
-                scatters[train_mask], n_samples, labels[train_mask],
-                config.n_pairs, config.shrinkage, config.log_variance_mode,
-                None, config.fingerprint,
-            )
+            model = fit_decoder(scatters[train_mask], labels[train_mask], n_samples, config)
         except ValueError as exc:
             raise ValueError(f"fold {fold}: {exc}") from exc
         test_idx = np.flatnonzero(~train_mask)
         hits = 0
         for i in test_idx:
-            label, _ = _predict_from_scatter(model, scatters[i], n_samples)
+            label, _ = predict(model, scatters[i], n_samples)
             predicted[i] = label
             confusion[labels[i] - 1, label - 1] += 1
             hits += int(label == labels[i])

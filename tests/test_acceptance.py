@@ -15,7 +15,7 @@ import pytest
 
 from swarmbci.cli import main as cli_main
 from swarmbci.config import RunConfig
-from swarmbci.csp import fit_csp_matrices
+from swarmbci.csp import fit_csp_matrices, trial_scatter
 from swarmbci.decode import fit_decoder, fit_lda, predict
 from swarmbci.dsp import design_bandpass, filtfilt, frequency_response
 from swarmbci.evaluate import cross_validate, evaluate_recording
@@ -204,6 +204,15 @@ def _small_trialset(separability, seed, trials_per_class=8):
     return extract_trials(generate_subject(cfg), SMALL_TIMING)
 
 
+def _fit(ts, config):
+    scatters = np.stack([trial_scatter(t.samples) for t in ts.trials])
+    return fit_decoder(scatters, ts.labels, ts.trials[0].n_samples, config)
+
+
+def _predict(model, trial):
+    return predict(model, trial_scatter(trial.samples), trial.n_samples)
+
+
 def test_lda_oracle():
     pos1, neg1 = [[1.9], [2.1], [2.3]], [[-0.1], [0.1], [0.3]]
     w1, b1 = _lda_closed_form(pos1, neg1)
@@ -219,11 +228,11 @@ def test_lda_oracle():
 
     ts = _small_trialset(0.9, seed=5, trials_per_class=4)
     doubled = TrialSet(ts.trials + ts.trials, ts.layout, ts.sampling_rate_hz)
-    single = fit_decoder(ts, n_pairs=2)
-    dup = fit_decoder(doubled, n_pairs=2)
+    single = _fit(ts, RunConfig(n_pairs=2))
+    dup = _fit(doubled, RunConfig(n_pairs=2))
     probe = _small_trialset(0.9, seed=6, trials_per_class=2).trials[0]
-    _, s1 = predict(single, probe)
-    _, s2 = predict(dup, probe)
+    _, s1 = _predict(single, probe)
+    _, s2 = _predict(dup, probe)
     dup_err = max(abs(s1[c] - s2[c]) for c in (1, 2, 3, 4))
 
     _report(
@@ -245,10 +254,10 @@ def test_no_leakage_canary():
     res = cross_validate(spiked, 4, cfg.seed, cfg)
     canary_fold = res.fold_of_trial[0]
     train_idx = [i for i in range(len(spiked)) if res.fold_of_trial[i] != canary_fold]
-    leak_free = fit_decoder(spiked.subset(train_idx), n_pairs=2)
-    leaked = fit_decoder(spiked.subset(sorted(train_idx + [0])), n_pairs=2)
-    p_free = predict(leak_free, spiked.trials[0])[0]
-    p_leaked = predict(leaked, spiked.trials[0])[0]
+    leak_free = _fit(spiked.subset(train_idx), cfg)
+    leaked = _fit(spiked.subset(sorted(train_idx + [0])), cfg)
+    p_free = _predict(leak_free, spiked.trials[0])[0]
+    p_leaked = _predict(leaked, spiked.trials[0])[0]
 
     _report(
         "no-leakage canary: training on the canary provably flips its prediction; "

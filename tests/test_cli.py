@@ -105,6 +105,15 @@ class TestEvaluate:
         assert code == 1
         assert "subject01.nsr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, tmp_path, config_path, subject_dir, capsys, jobs):
+        out = tmp_path / "s.json"
+        code = main(["evaluate", str(subject_dir / "subject01.nsr"), "--config", config_path,
+                     "--out", str(out), "--jobs", jobs])
+        assert code == 1
+        assert "error: --jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_only_the_failed_file_named(self, tmp_path, config_path, subject_dir, capsys, jobs):
         bad = subject_dir / "subject02.nsr"

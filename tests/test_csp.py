@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from swarmbci.csp import (
-    ClassCovariance,
-    class_mean_covariance,
-    csp_features,
-    fit_csp,
+    CspModel,
+    _mean_normalized,
+    features_from_scatter,
     fit_csp_matrices,
-    trial_covariance,
+    trial_scatter,
 )
-from swarmbci.recording import Trial
+from swarmbci.decode import DecoderModel, LdaModel, predict
 
 
 def random_spd(n, rng, cond_floor=0.2):
@@ -21,8 +20,17 @@ def random_spd(n, rng, cond_floor=0.2):
     return m / np.trace(m)
 
 
-def random_trial(n_channels, n_samples, rng, label=1):
-    return Trial(label, rng.standard_normal((n_channels, n_samples)))
+def random_trial(n_channels, n_samples, rng):
+    return rng.standard_normal((n_channels, n_samples))
+
+
+def normalized_covariance(*trials):
+    """Mean of the trials' trace-normalized covariances, through the decoder's core."""
+    return _mean_normalized(np.stack([trial_scatter(x) for x in trials]))
+
+
+def features(model, x, mode="plain"):
+    return features_from_scatter(model, trial_scatter(x), x.shape[1], mode)
 
 
 def brute_force_top_eigenvalue(c_pos, c_neg, n_grid=200000, seed=0):
@@ -41,30 +49,31 @@ def brute_force_top_eigenvalue(c_pos, c_neg, n_grid=200000, seed=0):
 
 class TestTrialCovariance:
     def test_single_active_channel(self):
-        t = Trial(1, np.vstack([[1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(trial_covariance(t), [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+        x = np.vstack([[1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_allclose(normalized_covariance(x), [[1.0, 0.0], [0.0, 0.0]],
+                                   atol=1e-15)
 
     def test_trace_is_one(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            c = trial_covariance(random_trial(5, 100, rng))
+            c = normalized_covariance(random_trial(5, 100, rng))
             assert np.trace(c) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_rows(self):
         row = np.array([1.0, -1.0, 1.0, -1.0])
-        t = Trial(1, np.vstack([row, row]))
-        np.testing.assert_allclose(trial_covariance(t), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        np.testing.assert_allclose(normalized_covariance(np.vstack([row, row])),
+                                   [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_degenerate_trial(self):
         with pytest.raises(ValueError, match="degenerate"):
-            trial_covariance(Trial(1, np.zeros((2, 10))))
+            normalized_covariance(np.zeros((2, 10)))
 
     def test_mean_centering(self):
         # A constant offset must not change the covariance.
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 50))
-        a = trial_covariance(Trial(1, x))
-        b = trial_covariance(Trial(1, x + 100.0))
+        a = normalized_covariance(x)
+        b = normalized_covariance(x + 100.0)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -72,38 +81,32 @@ class TestClassMeanCovariance:
     def test_single_trial(self):
         rng = np.random.default_rng(2)
         t = random_trial(4, 100, rng)
-        np.testing.assert_allclose(class_mean_covariance([t]).matrix,
-                                   trial_covariance(t), atol=1e-15)
+        s = trial_scatter(t)
+        np.testing.assert_allclose(normalized_covariance(t), s / np.trace(s), atol=1e-15)
 
     def test_arithmetic_mean(self):
-        t1 = Trial(1, np.vstack([[1.0, -1.0, 1.0, -1.0], np.zeros(4)]))
-        t2 = Trial(1, np.vstack([np.zeros(4), [1.0, -1.0, 1.0, -1.0]]))
-        np.testing.assert_allclose(class_mean_covariance([t1, t2]).matrix,
+        t1 = np.vstack([[1.0, -1.0, 1.0, -1.0], np.zeros(4)])
+        t2 = np.vstack([np.zeros(4), [1.0, -1.0, 1.0, -1.0]])
+        np.testing.assert_allclose(normalized_covariance(t1, t2),
                                    [[0.5, 0.0], [0.0, 0.5]], atol=1e-15)
 
     def test_mean_retains_unit_trace(self):
         rng = np.random.default_rng(3)
         trials = [random_trial(6, 80, rng) for _ in range(7)]
-        cc = class_mean_covariance(trials)
-        assert np.trace(cc.matrix) == pytest.approx(1.0, abs=1e-9)
-        assert cc.n_trials == 7
-
-    def test_empty_list(self):
-        with pytest.raises(ValueError):
-            class_mean_covariance([])
+        assert np.trace(normalized_covariance(*trials)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestFitCsp:
     def test_equal_covariances_give_half_eigenvalues(self):
         rng = np.random.default_rng(4)
         c = random_spd(6, rng)
-        model = fit_csp(ClassCovariance(c, 1), ClassCovariance(c.copy(), 1), n_pairs=2)
+        model = fit_csp_matrices(c, c.copy(), n_pairs=2)
         np.testing.assert_allclose(model.eigenvalues, 0.5, atol=1e-9)
 
     def test_analytic_2x2(self):
         c_pos = np.array([[2.0, 0.0], [0.0, 1.0]]) / 3.0
         c_neg = np.array([[1.0, 0.0], [0.0, 2.0]]) / 3.0
-        model = fit_csp(ClassCovariance(c_pos, 1), ClassCovariance(c_neg, 1), n_pairs=1)
+        model = fit_csp_matrices(c_pos, c_neg, n_pairs=1)
         np.testing.assert_allclose(model.eigenvalues, [2.0 / 3.0, 1.0 / 3.0], atol=1e-8)
         # First filter spans axis 0 (the high-variance axis of c_pos), last spans axis 1.
         assert abs(model.w[0, 0]) > 100 * abs(model.w[1, 0])
@@ -168,8 +171,8 @@ class TestFitCsp:
     def test_deterministic_fit(self):
         rng = np.random.default_rng(11)
         c_pos, c_neg = random_spd(8, rng), random_spd(8, rng)
-        a = fit_csp_matrices(c_pos, c_neg)
-        b = fit_csp_matrices(c_pos.copy(), c_neg.copy())
+        a = fit_csp_matrices(c_pos, c_neg, n_pairs=3)
+        b = fit_csp_matrices(c_pos.copy(), c_neg.copy(), n_pairs=3)
         np.testing.assert_array_equal(a.w, b.w)
 
 
@@ -180,42 +183,91 @@ class TestCspFeatures:
 
     def test_unit_variance_projection_gives_zero(self):
         # Identity filters on channels with exactly unit variance: log 1 = 0.
-        from swarmbci.csp import CspModel
         model = CspModel(np.eye(2), np.array([0.5, 0.5]), (0, 1))
         x = np.tile([1.0, -1.0], 50).reshape(1, -1)
-        feats = csp_features(model, Trial(1, np.vstack([x, x])))
+        feats = features(model, np.vstack([x, x]))
         np.testing.assert_allclose(feats, 0.0, atol=1e-12)
 
     def test_scaling_shifts_features_additively(self):
         model = self._model()
         rng = np.random.default_rng(14)
         x = rng.standard_normal((4, 500))
-        base = csp_features(model, Trial(1, x))
-        scaled = csp_features(model, Trial(1, 10.0 * x))
+        base = features(model, x)
+        scaled = features(model, 10.0 * x)
         np.testing.assert_allclose(scaled - base, 2.0 * np.log(10.0), atol=1e-9)
 
     def test_feature_length_is_twice_n_pairs(self):
         model = self._model(n=8, n_pairs=3)
         rng = np.random.default_rng(15)
-        feats = csp_features(model, random_trial(8, 100, rng))
+        feats = features(model, random_trial(8, 100, rng))
         assert feats.shape == (6,)
 
     def test_zero_variance_clamped_with_warning(self):
         model = self._model()
         with pytest.warns(RuntimeWarning, match="clamped"):
             # Channel-constant trial: centered projections all have zero variance.
-            feats = csp_features(model, Trial(1, np.outer([1.0, 2.0, 3.0, 4.0], np.ones(100))))
+            feats = features(model, np.outer([1.0, 2.0, 3.0, 4.0], np.ones(100)))
         assert np.all(np.isfinite(feats))
 
     def test_channel_mismatch(self):
         model = self._model()
         rng = np.random.default_rng(16)
+        lda_model = LdaModel(np.zeros(2), 0.0, 0.0)
+        decoder = DecoderModel({c: (model, lda_model) for c in (1, 2, 3, 4)}, "plain")
         with pytest.raises(ValueError, match="channels"):
-            csp_features(model, random_trial(6, 100, rng))
+            predict(decoder, trial_scatter(random_trial(6, 100, rng)), 100)
 
     def test_normalized_mode_sums_to_known_total(self):
         model = self._model(n=8, n_pairs=3)
         rng = np.random.default_rng(17)
         t = random_trial(8, 300, rng)
-        feats = csp_features(model, t, mode="normalized")
+        feats = features(model, t, mode="normalized")
         assert np.sum(np.exp(feats)) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestBatchedFeatures:
+    def _model(self, n=8, n_pairs=3, seed=18):
+        rng = np.random.default_rng(seed)
+        return fit_csp_matrices(random_spd(n, rng), random_spd(n, rng), n_pairs=n_pairs)
+
+    def _trials(self, n_trials=5, n_channels=8, n_samples=200, seed=19):
+        rng = np.random.default_rng(seed)
+        gains = rng.uniform(0.5, 3.0, (n_trials, n_channels, 1))
+        return list(gains * rng.standard_normal((n_trials, n_channels, n_samples)))
+
+    def test_stack_matches_log_variance_of_projections(self):
+        model = self._model()
+        trials = self._trials()
+        w_sel = model.w[:, list(model.selected)]
+        stack = np.stack([trial_scatter(x) for x in trials])
+        feats = features_from_scatter(model, stack, 200, "plain")
+        reference = np.stack([np.log(np.var(w_sel.T @ x, axis=1)) for x in trials])
+        np.testing.assert_allclose(feats, reference, rtol=1e-12, atol=0)
+
+    def test_rows_equal_single_scatter_calls(self):
+        model = self._model()
+        trials = self._trials()
+        stack = np.stack([trial_scatter(x) for x in trials])
+        feats = features_from_scatter(model, stack, 200, "plain")
+        for row, x in zip(feats, trials):
+            np.testing.assert_array_equal(row, features(model, x))
+
+    def test_stack_shape(self):
+        model = self._model(n_pairs=2)
+        stack = np.stack([trial_scatter(x) for x in self._trials(n_trials=3)])
+        assert features_from_scatter(model, stack, 200, "plain").shape == (3, 4)
+
+    def test_constant_trial_in_stack_clamped_with_warning(self):
+        model = self._model()
+        trials = self._trials(n_trials=3)
+        trials[1] = np.outer(np.arange(1.0, 9.0), np.ones(200))
+        stack = np.stack([trial_scatter(x) for x in trials])
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            feats = features_from_scatter(model, stack, 200, "plain")
+        assert np.all(np.isfinite(feats))
+
+    def test_normalized_rows_sum_to_one(self):
+        model = self._model()
+        stack = np.stack([trial_scatter(x) for x in self._trials()])
+        feats = features_from_scatter(model, stack, 200, "normalized")
+        np.testing.assert_allclose(np.sum(np.exp(feats), axis=1), 1.0, atol=1e-9)

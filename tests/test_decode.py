@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from swarmbci.csp import CspModel
+from swarmbci.config import RunConfig
+from swarmbci.csp import CspModel, trial_scatter
 from swarmbci.decode import DecoderModel, LdaModel, fit_decoder, fit_lda, predict
-from swarmbci.recording import ParadigmTiming, Trial, TrialSet, extract_trials
+from swarmbci.recording import ParadigmTiming, TrialSet, extract_trials
 from swarmbci.synth import SynthConfig, generate_subject
 
 SMALL_TIMING = ParadigmTiming(0.5, 0.5, 0.5, 2.0)
@@ -17,6 +18,16 @@ def small_synth_trialset(separability=0.9, seed=0, trials_per_class=8,
                       trials_per_class=trials_per_class, timing=SMALL_TIMING,
                       separability=separability, seed=seed)
     return extract_trials(generate_subject(cfg), SMALL_TIMING)
+
+
+def fit_trialset(ts, config=RunConfig(n_pairs=2)):
+    """Fit the decoder on a TrialSet's trials through their scatter matrices."""
+    scatters = np.stack([trial_scatter(t.samples) for t in ts.trials])
+    return fit_decoder(scatters, ts.labels, ts.trials[0].n_samples, config)
+
+
+def predict_trial(model, trial):
+    return predict(model, trial_scatter(trial.samples), trial.n_samples)
 
 
 def lda_closed_form(pos, neg, shrinkage=Fraction(0)):
@@ -123,13 +134,13 @@ class TestFitLda:
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
-            fit_lda(np.array([[1.0]]), np.array([[0.0], [0.1]]))
+            fit_lda(np.array([[1.0]]), np.array([[0.0], [0.1]]), shrinkage=0.05)
 
 
 class TestFitDecoder:
     def test_per_class_model_structure(self):
         ts = small_synth_trialset(trials_per_class=5)
-        model = fit_decoder(ts, n_pairs=2)
+        model = fit_trialset(ts)
         assert sorted(model.per_class) == [1, 2, 3, 4]
         for csp_model, lda_model in model.per_class.values():
             assert len(csp_model.selected) == 4
@@ -139,24 +150,24 @@ class TestFitDecoder:
         ts = small_synth_trialset(trials_per_class=5)
         without_3 = ts.subset([i for i, t in enumerate(ts.trials) if t.label != 3])
         with pytest.raises(ValueError, match="class 3"):
-            fit_decoder(without_3)
+            fit_trialset(without_3, RunConfig())
 
     def test_duplication_invariance(self):
         ts = small_synth_trialset(trials_per_class=4, seed=5)
         doubled = TrialSet(ts.trials + ts.trials, ts.layout, ts.sampling_rate_hz)
-        m1 = fit_decoder(ts, n_pairs=2)
-        m2 = fit_decoder(doubled, n_pairs=2)
+        m1 = fit_trialset(ts)
+        m2 = fit_trialset(doubled)
         probe = small_synth_trialset(trials_per_class=2, seed=99).trials[0]
-        _, s1 = predict(m1, probe)
-        _, s2 = predict(m2, probe)
+        _, s1 = predict_trial(m1, probe)
+        _, s2 = predict_trial(m2, probe)
         for code in (1, 2, 3, 4):
             assert s1[code] == pytest.approx(s2[code], abs=1e-9)
 
     def test_deterministic(self):
         ts = small_synth_trialset(trials_per_class=4, seed=6)
-        m1, m2 = fit_decoder(ts, n_pairs=2), fit_decoder(ts, n_pairs=2)
+        m1, m2 = fit_trialset(ts), fit_trialset(ts)
         probe = ts.trials[0]
-        assert predict(m1, probe) == predict(m2, probe)
+        assert predict_trial(m1, probe) == predict_trial(m2, probe)
 
 
 class TestPredict:
@@ -173,35 +184,33 @@ class TestPredict:
                 test_idx.append(i)
             else:
                 train_idx.append(i)
-        model = fit_decoder(ts.subset(sorted(train_idx)), n_pairs=2)
+        model = fit_trialset(ts.subset(sorted(train_idx)))
         fresh = ts.subset(sorted(test_idx))
-        hits = sum(predict(model, t)[0] == t.label for t in fresh.trials)
+        hits = sum(predict_trial(model, t)[0] == t.label for t in fresh.trials)
         assert hits >= 0.8 * len(fresh)
 
     def test_all_zero_model_ties_break_to_class_1(self):
         n = 4
         csp_model = CspModel(np.eye(n), np.full(n, 0.5), (0, 1, 2, 3))
         lda_model = LdaModel(np.zeros(n), 0.0, 0.0)
-        model = DecoderModel({c: (csp_model, lda_model) for c in (1, 2, 3, 4)},
-                             2, None, "test")
+        model = DecoderModel({c: (csp_model, lda_model) for c in (1, 2, 3, 4)}, "plain")
         rng = np.random.default_rng(2)
-        label, scores = predict(model, Trial(2, rng.standard_normal((n, 50))))
+        label, scores = predict(model, trial_scatter(rng.standard_normal((n, 50))), 50)
         assert label == 1
         assert all(s == 0.0 for s in scores.values())
 
     def test_argmax_invariant_to_constant_score_shift(self):
         ts = small_synth_trialset(trials_per_class=5, seed=9)
-        model = fit_decoder(ts, n_pairs=2)
+        model = fit_trialset(ts)
         shifted = DecoderModel(
             {c: (csp, LdaModel(lda.weights, lda.bias + 17.5, lda.shrinkage))
              for c, (csp, lda) in model.per_class.items()},
-            model.n_pairs, model.filter_spec, model.config_fingerprint,
             model.log_variance_mode)
         for t in ts.trials[:8]:
-            assert predict(model, t)[0] == predict(shifted, t)[0]
+            assert predict_trial(model, t)[0] == predict_trial(shifted, t)[0]
 
     def test_channel_mismatch(self):
         ts = small_synth_trialset(trials_per_class=5, seed=10)
-        model = fit_decoder(ts, n_pairs=2)
+        model = fit_trialset(ts)
         with pytest.raises(ValueError, match="channels"):
-            predict(model, Trial(1, np.random.default_rng(0).standard_normal((3, 100))))
+            predict(model, trial_scatter(np.random.default_rng(0).standard_normal((3, 100))), 100)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from swarmbci.config import RunConfig
+from swarmbci.csp import trial_scatter
 from swarmbci.decode import fit_decoder, predict
 from swarmbci.evaluate import (
     CvResult,
@@ -132,10 +133,17 @@ class TestCrossValidate:
         canary_fold = res.fold_of_trial[0]
         train_idx = [i for i in range(len(spiked)) if res.fold_of_trial[i] != canary_fold]
 
-        leak_free = fit_decoder(spiked.subset(train_idx), n_pairs=2)
-        leaked = fit_decoder(spiked.subset(sorted(train_idx + [0])), n_pairs=2)
-        p_free = predict(leak_free, canary)[0]
-        p_leaked = predict(leaked, canary)[0]
+        scatters = np.stack([trial_scatter(t.samples) for t in spiked.trials])
+        labels = np.asarray(spiked.labels)
+        n_samples = canary.n_samples
+
+        def fit(idx):
+            return fit_decoder(scatters[idx], labels[idx], n_samples, cfg)
+
+        leak_free = fit(train_idx)
+        leaked = fit(sorted(train_idx + [0]))
+        p_free = predict(leak_free, scatters[0], n_samples)[0]
+        p_leaked = predict(leaked, scatters[0], n_samples)[0]
         assert p_leaked == 4  # inclusion provably changes the prediction
         assert p_free != p_leaked
         assert res.predicted_labels[0] == p_free
