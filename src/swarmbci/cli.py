@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -60,14 +59,6 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _synth_config_from_dict(d: dict) -> SynthConfig:
     d = dict(d)
     if "timing" in d:
@@ -100,16 +91,15 @@ def cmd_synth(args) -> int:
     for i in range(args.subjects):
         cfg = dataclasses.replace(base, seed=base.seed + i)
         subject_id = f"subject{i + 1:02d}"
-        rec = generate_subject(cfg, subject_id=subject_id)
         path = out / f"{subject_id}.nsr"
         with _atomic_path(path) as tmp:
-            save_recording(rec, tmp)
+            digest = save_recording(generate_subject(cfg, subject_id=subject_id), tmp)
         entries.append({
             "subject_id": subject_id,
             "file": path.name,
             "seed": cfg.seed,
             "separability": cfg.separability,
-            "sha256": _sha256_file(path),
+            "sha256": digest,
         })
     manifest = {"subjects": entries, "n_subjects": args.subjects}
     text = _dump_json(manifest)
@@ -130,8 +120,11 @@ def _evaluate_one(path: str, config: RunConfig, timing: ParadigmTiming) -> tuple
 def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
                     jobs: int) -> dict[str, CvResult]:
     results: dict[str, CvResult] = {}
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        calls = [pool.submit(_evaluate_one, str(p), config, timing).result if jobs > 1
+    # A fork-started pool forks all its workers at the first submit: no more than files.
+    workers = min(jobs, len(paths))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        calls = [pool.submit(_evaluate_one, str(p), config, timing).result if workers > 1
                  else partial(_evaluate_one, str(p), config, timing) for p in paths]
         for path, call in zip(paths, calls):
             try:

@@ -8,6 +8,7 @@ channels, ...). Amplitudes are in microvolts.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -17,6 +18,8 @@ import numpy as np
 MAGIC = b"NSR1"
 #: Longest JSON header line read before a file is declared malformed.
 MAX_HEADER_BYTES = 1 << 24
+#: Frames :func:`save_recording` transposes, writes and hashes at a time (4 MiB at 64 channels).
+_WRITE_BLOCK_FRAMES = 16384
 
 #: Command codes shared by markers, trials, and the swarm simulator.
 EVENT_CODES = (1, 2, 3, 4)
@@ -235,15 +238,17 @@ class TrialSet:
         return TrialSet([self.trials[i] for i in indices], self.layout, self.sampling_rate_hz)
 
 
-def save_recording(rec: Recording, path) -> None:
-    """Write ``rec`` to ``path`` in NSR format.
+def save_recording(rec: Recording, path) -> str:
+    """Write ``rec`` to ``path`` in NSR format; return the file's sha256 hex digest.
 
-    Invariants are re-validated before any byte is written.
+    Invariants are re-validated before any byte is written. The sample-major
+    payload is transposed, written and hashed one block of frames at a time,
+    so the memory used beyond ``rec.data`` does not grow with the recording.
     """
     if not isinstance(rec, Recording):
         raise TypeError("save_recording expects a Recording")
     # Re-run invariant checks in case fields were mutated after construction.
-    Recording(
+    rec = Recording(
         rec.subject_id, rec.sampling_rate_hz, rec.layout, rec.data,
         rec.markers, rec.notch_applied_hz,
     )
@@ -255,11 +260,17 @@ def save_recording(rec: Recording, path) -> None:
         "markers": [[m.sample_index, m.event_code] for m in rec.markers],
         "n_samples": rec.n_samples,
     }
-    payload = np.ascontiguousarray(rec.data.T, dtype="<f4")  # sample-major frames
+    head = MAGIC + b"\n" + json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
+    digest = hashlib.sha256(head)
+    block = np.empty((_WRITE_BLOCK_FRAMES, rec.n_channels), dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(MAGIC + b"\n")
-        fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
-        fh.write(payload.tobytes())
+        fh.write(head)
+        for start in range(0, rec.n_samples, _WRITE_BLOCK_FRAMES):
+            frames = block[:min(_WRITE_BLOCK_FRAMES, rec.n_samples - start)]
+            np.copyto(frames, rec.window(start, start + len(frames)).T)
+            fh.write(frames)
+            digest.update(frames)
+    return digest.hexdigest()
 
 
 def open_recording(path) -> RecordingFile:

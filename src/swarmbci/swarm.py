@@ -319,9 +319,11 @@ def grid_positions(state: SwarmState) -> np.ndarray:
 
 
 def save_trajectory_csv(trajectory: list[np.ndarray], path) -> None:
-    """Write snapshots as CSV rows: step,drone_id,x,y."""
+    """Write snapshots as CSV rows: step,drone_id,x,y.
+
+    Coordinates are Python float reprs (shortest round trip), e.g. ``3,7,48.8,50.69``.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,drone_id,x,y\n")
         for t, snap in enumerate(trajectory):
-            for i, (x, y) in enumerate(snap):
-                fh.write(f"{t},{i},{x!r},{y!r}\n")
+            fh.write("".join(f"{t},{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(snap.tolist())))

@@ -109,9 +109,14 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
         sources[:, onset:onset + t_len] *= scale[:, None]
         markers.append(EventMarker(onset, int(label)))
 
-    data = (mix.astype(np.float32) @ sources.astype(np.float32))
+    sources = sources.astype(np.float32)
+    data = mix.astype(np.float32) @ sources
+    del sources
+    noise = np.empty(total, dtype=np.float32)
     for ch in range(cfg.n_channels):
-        data[ch] += cfg.noise_floor * rng.standard_normal(total, dtype=np.float32)
+        rng.standard_normal(dtype=np.float32, out=noise)
+        noise *= cfg.noise_floor
+        data[ch] += noise
     if cfg.line_noise_amplitude > 0:
         t = np.arange(total, dtype=np.float32) / np.float32(fs)
         line = np.float32(cfg.line_noise_amplitude) * np.sin(2 * np.pi * 60.0 * t)

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import os
 import stat
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from swarmbci import cli
 from swarmbci.cli import _write_text_atomic, main
 from swarmbci.config import RunConfig
 from swarmbci.recording import load_recording, save_recording
@@ -45,8 +48,8 @@ class TestSynth:
         names = [e["file"] for e in manifest["subjects"]]
         assert names == ["subject01.nsr", "subject02.nsr"]
         for entry in manifest["subjects"]:
-            assert (subject_dir / entry["file"]).exists()
-            assert len(entry["sha256"]) == 64
+            data = (subject_dir / entry["file"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
 
     def test_rerun_is_checksum_identical(self, tmp_path, config_path, subject_dir):
         again = tmp_path / "again"
@@ -125,6 +128,36 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "subject02.nsr" in err and "payload" in err
         assert "subject01.nsr" not in err
+
+    @pytest.mark.parametrize("jobs, files, workers", [("8", 2, [2]), ("2", 1, [])],
+                             ids=["jobs8-files2", "jobs2-files1"])
+    def test_no_more_workers_than_files(self, tmp_path, config_path, subject_dir, monkeypatch,
+                                        jobs, files, workers):
+        created = []
+
+        class InlinePool:
+            """Records ``max_workers`` and runs each call in this process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        paths = [str(subject_dir / f"subject{i + 1:02d}.nsr") for i in range(files)]
+        assert main(["evaluate", *paths, "--config", config_path,
+                     "--out", str(tmp_path / "s.json"), "--jobs", jobs]) == 0
+        assert created == workers
+        assert len(read_json(tmp_path / "s.json")["per_subject"]) == files
 
     def test_non_finite_sample_named(self, tmp_path, config_path, subject_dir, capsys):
         path = subject_dir / "subject01.nsr"

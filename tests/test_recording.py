@@ -1,4 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +112,68 @@ class TestNsrFormat:
             path = tmp_path / f"{i}.nsr"
             save_recording(rec, path)
             assert load_recording(path) == rec
+
+
+BLOCK = recording._WRITE_BLOCK_FRAMES
+
+
+class TestBlockedWriter:
+    """``save_recording`` writes and hashes the payload one block of frames at a time."""
+
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    @pytest.mark.parametrize("n_samples", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+    def test_payload_is_the_sample_major_array(self, tmp_path, n_channels, n_samples):
+        rec = make_recording(n_channels=n_channels, n_samples=n_samples, seed=n_samples)
+        path = tmp_path / "b.nsr"
+        save_recording(rec, path)
+        payload = path.read_bytes()[open_recording(path).offset:]
+        assert payload == np.ascontiguousarray(rec.data.T, "<f4").tobytes()
+
+    def test_nan_bit_patterns_and_negative_zero_survive(self, tmp_path):
+        bits = np.array([0x7FC00000, 0x7FC00001, 0xFFC12345, 0x7F800001,  # quiet/signalling NaN
+                         0x80000000, 0x7F800000, 0xFF800000, 0x00000001], dtype=np.uint32)
+        data = np.tile(bits, (3, BLOCK // 4 + 1)).view(np.float32)
+        rec = Recording("bits", 1000.0, ChannelLayout.generic(3), data)
+        path = tmp_path / "bits.nsr"
+        save_recording(rec, path)
+        payload = np.frombuffer(path.read_bytes()[open_recording(path).offset:], "<u4")
+        assert np.array_equal(payload, data.T.view(np.uint32).ravel())
+
+    @pytest.mark.parametrize("n_samples", [1, BLOCK + 1])
+    def test_returned_digest_is_the_files(self, tmp_path, n_samples):
+        rec = make_recording(n_channels=3, n_samples=n_samples, markers=[(0, 2)])
+        path = tmp_path / "d.nsr"
+        digest = save_recording(rec, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+_SAVE_RSS_CHILD = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from swarmbci.recording import ChannelLayout, Recording, save_recording
+
+    data = np.random.default_rng(0).standard_normal((64, 400_000), dtype=np.float32)
+    rec = Recording("rss", 1000.0, ChannelLayout.default_64(), data)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    save_recording(rec, sys.argv[1])
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+""")
+
+
+def test_save_memory_does_not_grow_with_the_payload(tmp_path):
+    """Saving a 102 MB recording raises the peak RSS by < 0.25x the payload.
+
+    A whole-array transpose plus ``tobytes`` raises it by about 2x.
+    """
+    pytest.importorskip("resource")
+    src = str(Path(recording.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _SAVE_RSS_CHILD, str(tmp_path / "m.nsr")],
+                         capture_output=True, text=True, check=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": src})
+    # ru_maxrss is in KiB on Linux, in bytes on macOS.
+    rise = int(out.stdout) * (1 if sys.platform == "darwin" else 1024)
+    payload = 64 * 400_000 * 4
+    assert rise < 0.25 * payload, f"peak RSS rose {rise / 1e6:.1f} MB saving {payload / 1e6:.1f} MB"
 
 
 def _split_nsr(path):

@@ -268,6 +268,12 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,drone_id,x,y"
         assert len(lines) == 1 + len(trajectory) * cfg.n_drones
+        rows = [line.split(",") for line in lines[1:]]
+        assert not any("np." in cell for row in rows for cell in row)
+        assert [(int(t), int(i)) for t, i, _, _ in rows] == [
+            divmod(k, cfg.n_drones) for k in range(len(rows))]
+        xy = np.array([[float(x), float(y)] for _, _, x, y in rows])
+        assert np.array_equal(xy.view(np.uint64), np.concatenate(trajectory).view(np.uint64))
 
     def test_grid_positions_rounding(self, cfg):
         s = init_swarm(cfg)
