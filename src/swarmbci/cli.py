@@ -59,27 +59,13 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _synth_config_from_dict(d: dict) -> SynthConfig:
-    d = dict(d)
-    if "timing" in d:
-        d["timing"] = dataclass_from_dict(ParadigmTiming, d["timing"], "timing")
-    return dataclass_from_dict(SynthConfig, d, "synth")
-
-
-def _swarm_config_from_dict(d: dict) -> SwarmConfig:
-    d = dict(d)
-    if "arena" in d:
-        d["arena"] = tuple(d["arena"])
-    return dataclass_from_dict(SwarmConfig, d, "swarm")
-
-
 def _load_sections(config_path) -> dict:
     return load_config_file(config_path) if config_path else {}
 
 
 def cmd_synth(args) -> int:
     sections = _load_sections(args.config)
-    base = _synth_config_from_dict(sections.get("synth", {}))
+    base = dataclass_from_dict(SynthConfig, sections.get("synth", {}), "synth")
     if args.seed is not None:
         base = dataclasses.replace(base, seed=args.seed)
     if args.subjects < 1:
@@ -204,7 +190,7 @@ def _sequence_from_args(args) -> list[int]:
 
 def cmd_simulate(args) -> int:
     sections = _load_sections(args.config)
-    swarm_cfg = _swarm_config_from_dict(sections.get("swarm", {}))
+    swarm_cfg = dataclass_from_dict(SwarmConfig, sections.get("swarm", {}), "swarm")
     if args.seed is not None:
         swarm_cfg = dataclasses.replace(swarm_cfg, seed=args.seed)
     codes = _sequence_from_args(args)
@@ -217,7 +203,7 @@ def cmd_simulate(args) -> int:
 def cmd_pipeline(args) -> int:
     sections = _load_sections(args.config)
     run_config = RunConfig.from_dict(sections.get("run", {}))
-    swarm_cfg = _swarm_config_from_dict(sections.get("swarm", {}))
+    swarm_cfg = dataclass_from_dict(SwarmConfig, sections.get("swarm", {}), "swarm")
     if args.seed is not None:
         run_config = dataclasses.replace(run_config, seed=args.seed)
         swarm_cfg = dataclasses.replace(swarm_cfg, seed=args.seed)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        kwargs = dict(d)
-        if "band" in kwargs:
-            kwargs["band"] = tuple(kwargs["band"])
-        return dataclass_from_dict(cls, kwargs, "RunConfig")
+        return dataclass_from_dict(cls, d, "run")
 
     @property
     def fingerprint(self) -> str:
@@ -65,11 +62,37 @@ class RunConfig:
 
 
 def dataclass_from_dict(cls, d: dict, what: str):
-    """``cls(**d)``, rejecting keys that are not fields of ``cls``."""
-    unknown = set(d) - {f.name for f in fields(cls)}
+    """``cls(**d)`` from a JSON object, rejecting unknown keys and mistyped values.
+
+    A value must have the JSON type of its field's default: a list for a
+    tuple (converted to one), an object for a nested dataclass (parsed by
+    this function), an int or a float for a float, and the very type
+    otherwise, so a bool never passes for a number.
+    """
+    by_name = {f.name: f for f in fields(cls)}
+    unknown = set(d) - set(by_name)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    return cls(**d)
+    kwargs = {}
+    for key, value in d.items():
+        f = by_name[key]
+        default = f.default if f.default is not MISSING else f.default_factory()
+        if is_dataclass(default) and isinstance(value, dict):
+            value = dataclass_from_dict(type(default), value, f"{what}.{key}")
+        elif isinstance(default, tuple) and isinstance(value, list):
+            value = tuple(value)
+        if not _json_type_matches(value, default):
+            raise ValueError(f"{what}.{key} must be {type(default).__name__}, got {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
+def _json_type_matches(value, default) -> bool:
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_json_type_matches(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
 
 
 def load_config_file(path) -> dict:

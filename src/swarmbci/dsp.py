@@ -1,7 +1,7 @@
-"""IIR filter design and zero-phase filtering.
+"""IIR filter design and zero-phase filtering with second-order sections.
 
 Designs come from scipy (Butterworth bandpass via bilinear transform
-with prewarped band edges, biquad notch with unit-circle zeros); the
+with prewarped band edges, as a cascade of second-order sections); the
 frequency response evaluator below is an independent direct evaluation
 of H(e^{jw}) used to verify the designs.
 """
@@ -9,7 +9,7 @@ of H(e^{jw}) used to verify the designs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal
@@ -18,33 +18,38 @@ from scipy import signal
 SETTLE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterSpec:
-    """Transfer-function coefficients b (feedforward) and a (feedback)."""
+    """Cascade of second-order sections, one row ``(b0, b1, b2, 1, a1, a2)`` each."""
 
-    b: tuple[float, ...]
-    a: tuple[float, ...]
+    sos: np.ndarray
     description: str = ""
+    #: Steady-state initial conditions of each section for a unit step (Gustafsson 1996).
+    zi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        b = tuple(float(v) for v in self.b)
-        a = tuple(float(v) for v in self.a)
-        if not a or a[0] != 1.0:
-            raise ValueError("a[0] must be 1 (normalized denominator)")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", a)
-        if len(a) > 1:
-            poles = np.roots(a)
-            max_mag = float(np.max(np.abs(poles))) if poles.size else 0.0
-            if max_mag >= 1.0:
-                raise ValueError(
-                    f"unstable filter: pole magnitude {max_mag:.6g} >= 1"
-                )
+        sos = np.array(self.sos, dtype=np.float64)
+        if sos.ndim != 2 or sos.shape[0] < 1 or sos.shape[1] != 6:
+            raise ValueError(f"sos must be n_sections x 6, got shape {sos.shape}")
+        if np.any(sos[:, 3] != 1.0):
+            raise ValueError("a0 must be 1 in every section (normalized denominator)")
+        object.__setattr__(self, "sos", sos)
+        max_mag = float(np.max(np.abs(self.poles)))
+        if max_mag >= 1.0:
+            raise ValueError(f"unstable filter: pole magnitude {max_mag:.6g} >= 1")
+        object.__setattr__(self, "zi", signal.sosfilt_zi(sos))
+
+    @property
+    def poles(self) -> np.ndarray:
+        """Roots of every section's z**2 + a1 z + a2, solved exactly per section."""
+        a1, a2 = self.sos[:, 4], self.sos[:, 5]
+        root = np.sqrt(a1.astype(complex) ** 2 - 4.0 * a2)
+        return np.concatenate([(-a1 + root) / 2.0, (-a1 - root) / 2.0])
 
     @property
     def pad_len(self) -> int:
-        """Reflection pad length used by :func:`filtfilt`."""
-        return 3 * (max(len(self.a), len(self.b)) - 1)
+        """Odd-extension length used by :func:`filter_channels` at each end."""
+        return 6 * len(self.sos)
 
     @property
     def settle_len(self) -> int:
@@ -52,16 +57,16 @@ class FilterSpec:
 
         Transients decay as r**n for the largest pole magnitude r; 0 for a FIR filter.
         """
-        r = float(np.max(np.abs(np.roots(self.a)))) if len(self.a) > 1 else 0.0
+        r = float(np.max(np.abs(self.poles)))
         return math.ceil(math.log(SETTLE_TOL) / math.log(r)) if r > 0 else 0
 
 
 def design_bandpass(low_hz: float, high_hz: float, order: int, fs: float) -> FilterSpec:
     """Butterworth bandpass of the given analog prototype order.
 
-    The discrete filter (order ``2 * order``) is obtained by the
-    bilinear transform with both band edges prewarped, so |H| at
-    ``low_hz`` and ``high_hz`` is exactly 1/sqrt(2).
+    The discrete filter (order ``2 * order``, ``order`` sections) is
+    obtained by the bilinear transform with both band edges prewarped,
+    so |H| at ``low_hz`` and ``high_hz`` is exactly 1/sqrt(2).
     """
     if not (0 < low_hz < high_hz < fs / 2):
         raise ValueError(
@@ -70,63 +75,42 @@ def design_bandpass(low_hz: float, high_hz: float, order: int, fs: float) -> Fil
         )
     if order < 1:
         raise ValueError("order must be >= 1")
-    b, a = signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs)
-    desc = f"butter{order}-bandpass-{low_hz:g}-{high_hz:g}@{fs:g}"
-    return FilterSpec(tuple(b / a[0]), tuple(a / a[0]), desc)
-
-
-def design_notch(freq_hz: float, q: float, fs: float) -> FilterSpec:
-    """Second-order notch: zeros on the unit circle at +-freq_hz, unity gain at DC and Nyquist."""
-    if not (0 < freq_hz < fs / 2):
-        raise ValueError(f"notch frequency must be in (0, fs/2), got {freq_hz} at fs={fs}")
-    if q <= 0:
-        raise ValueError("q must be > 0")
-    b, a = signal.iirnotch(freq_hz, q, fs=fs)
-    return FilterSpec(tuple(b / a[0]), tuple(a / a[0]), f"notch-{freq_hz:g}-q{q:g}@{fs:g}")
+    sos = signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
+    return FilterSpec(sos, f"butter{order}-bandpass-{low_hz:g}-{high_hz:g}@{fs:g}")
 
 
 def frequency_response(spec: FilterSpec, freq_hz: float, fs: float) -> tuple[float, float]:
     """Evaluate H(e^{j 2 pi f / fs}) directly; returns (magnitude, phase)."""
     if not (0 <= freq_hz <= fs / 2):
         raise ValueError(f"frequency must be in [0, fs/2], got {freq_hz}")
-    w = 2.0 * np.pi * freq_hz / fs
-    k_b = np.arange(len(spec.b))
-    k_a = np.arange(len(spec.a))
-    num = np.sum(np.asarray(spec.b) * np.exp(-1j * w * k_b))
-    den = np.sum(np.asarray(spec.a) * np.exp(-1j * w * k_a))
-    h = num / den
+    z_inv = np.exp(-1j * 2.0 * np.pi * freq_hz / fs) ** np.arange(3)
+    h = np.prod((spec.sos[:, :3] @ z_inv) / (spec.sos[:, 3:] @ z_inv))
     return float(np.abs(h)), float(np.angle(h))
 
 
-def filtfilt(spec: FilterSpec, x: np.ndarray) -> np.ndarray:
-    """Zero-phase forward-backward filtering of a single-channel signal.
+def filter_channels(spec: FilterSpec, data: np.ndarray) -> np.ndarray:
+    """Zero-phase forward-backward filtering along the last axis of a 1-D or 2-D array.
 
     Odd-reflection padding of ``spec.pad_len`` samples is applied at
-    both ends and stripped afterwards. Net magnitude response is |H|^2,
-    net phase response is zero. Output length equals input length.
-    """
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError("filtfilt expects a 1-D signal")
-    min_len = 3 * max(len(spec.a), len(spec.b))
-    if len(x) <= min_len:
-        raise ValueError(f"signal too short for padding: need > {min_len} samples, got {len(x)}")
-    y = signal.filtfilt(spec.b, spec.a, x.astype(np.float64, copy=False),
-                        padtype="odd", padlen=spec.pad_len)
-    return y.astype(x.dtype) if x.dtype == np.float32 else y
-
-
-def filter_channels(spec: FilterSpec, data: np.ndarray) -> np.ndarray:
-    """Apply :func:`filtfilt` to every row of a channels x samples array, in one call.
-
-    Each output row is bit-identical to :func:`filtfilt` of that row.
+    both ends and stripped afterwards, and each pass starts from the
+    steady state ``spec.zi`` scaled to its first sample. Net magnitude
+    response is |H|^2, net phase response is zero. The result equals
+    ``scipy.signal.sosfiltfilt(spec.sos, data, padlen=spec.pad_len)``
+    bit for bit; ``zi`` is solved once per :class:`FilterSpec`, not per call.
     """
     data = np.asarray(data)
-    min_len = 3 * max(len(spec.a), len(spec.b))
-    if data.shape[-1] <= min_len:
+    if data.ndim not in (1, 2):
+        raise ValueError(f"filter_channels expects a 1-D or 2-D array, got ndim={data.ndim}")
+    pad = spec.pad_len
+    if data.shape[-1] <= pad:
         raise ValueError(
-            f"signal too short for padding: need > {min_len} samples, got {data.shape[-1]}"
+            f"signal too short for padding: need > {pad} samples, got {data.shape[-1]}"
         )
-    y = signal.filtfilt(spec.b, spec.a, data.astype(np.float64, copy=False),
-                        axis=-1, padtype="odd", padlen=spec.pad_len)
+    x = data.astype(np.float64, copy=False)
+    ext = np.concatenate((2 * x[..., :1] - x[..., pad:0:-1], x,
+                          2 * x[..., -1:] - x[..., -2:-pad - 2:-1]), axis=-1)
+    zi = spec.zi.reshape((len(spec.sos),) + (1,) * (x.ndim - 1) + (2,))
+    y, _ = signal.sosfilt(spec.sos, ext, zi=zi * ext[..., :1])
+    y, _ = signal.sosfilt(spec.sos, y[..., ::-1], zi=zi * y[..., -1:])
+    y = y[..., ::-1][..., pad:-pad]
     return y.astype(data.dtype) if data.dtype == np.float32 else y

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -36,6 +37,11 @@ DEFAULT_64_CHANNELS = (
 
 class NsrFormatError(ValueError):
     """Raised when a file does not conform to the NSR format."""
+
+
+def _check_sampling_rate(fs: float) -> None:
+    if not (math.isfinite(fs) and fs > 0):
+        raise ValueError(f"sampling_rate_hz must be positive and finite, got {fs}")
 
 
 def _check_markers(markers, n_samples: int) -> None:
@@ -126,8 +132,7 @@ class Recording:
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if self.sampling_rate_hz <= 0:
-            raise ValueError("sampling_rate_hz must be positive")
+        _check_sampling_rate(self.sampling_rate_hz)
         if self.data.ndim != 2:
             raise ValueError(f"data must be 2-D (channels x samples), got ndim={self.data.ndim}")
         if self.data.shape[0] != self.layout.count:
@@ -323,8 +328,7 @@ def open_recording(path) -> RecordingFile:
             raise NsrFormatError(f"{path}: malformed marker {i}: {exc}") from exc
 
     try:
-        if fs <= 0:
-            raise ValueError("sampling_rate_hz must be positive")
+        _check_sampling_rate(fs)
         _check_markers(markers, n_samples)
         return RecordingFile(str(path), subject_id, fs, ChannelLayout(tuple(channels)),
                              tuple(markers), notch, n_samples, offset)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from swarmbci.recording import EVENT_NAMES
 
@@ -267,26 +268,10 @@ def run_until_converged(state: SwarmState, cfg: SwarmConfig
 
 
 def _clusters_single_linkage(points: np.ndarray, cut: float) -> list[np.ndarray]:
-    """Connected components of the pairwise graph with edges <= cut."""
-    n = points.shape[0]
+    """Connected components of the pairwise graph with edges <= cut, ordered by first member."""
     dist = np.linalg.norm(points[None, :, :] - points[:, None, :], axis=2)
-    adj = dist <= cut
-    unvisited = set(range(n))
-    clusters = []
-    while unvisited:
-        seed_idx = min(unvisited)
-        frontier = [seed_idx]
-        unvisited.discard(seed_idx)
-        members = [seed_idx]
-        while frontier:
-            i = frontier.pop()
-            neighbors = [j for j in list(unvisited) if adj[i, j]]
-            for j in neighbors:
-                unvisited.discard(j)
-                members.append(j)
-                frontier.append(j)
-        clusters.append(np.asarray(sorted(members)))
-    return clusters
+    n_clusters, labels = connected_components(dist <= cut, directed=False)
+    return [np.flatnonzero(labels == k) for k in range(n_clusters)]
 
 
 def metrics(state: SwarmState, cfg: SwarmConfig) -> SwarmMetrics:
@@ -311,11 +296,6 @@ def metrics(state: SwarmState, cfg: SwarmConfig) -> SwarmMetrics:
     else:
         gap = 0.0
     return SwarmMetrics(mean_centroid_dist, mean_nn_dist, len(clusters), gap)
-
-
-def grid_positions(state: SwarmState) -> np.ndarray:
-    """Integer-cell view of the positions (display parity with grid maps)."""
-    return np.rint(state.positions).astype(int)
 
 
 def save_trajectory_csv(trajectory: list[np.ndarray], path) -> None:

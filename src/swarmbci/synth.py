@@ -10,11 +10,12 @@ statistically identical, so downstream accuracy sits at chance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from swarmbci.dsp import design_bandpass, filtfilt
+from swarmbci.dsp import design_bandpass, filter_channels
 from swarmbci.recording import (
     ChannelLayout,
     EventMarker,
@@ -39,7 +40,6 @@ class SynthConfig:
     noise_floor: float = 0.05
     seed: int = 0
     n_sources: int = 8
-    line_noise_amplitude: float = 0.0  # set > 0 to exercise the notch filter
 
     def __post_init__(self):
         if self.n_sources > self.n_channels:
@@ -52,8 +52,8 @@ class SynthConfig:
             raise ValueError("noise_floor must be > 0")
         if self.trials_per_class < 1:
             raise ValueError("trials_per_class must be >= 1")
-        if self.fs_hz <= 2 * SOURCE_BAND_HZ[1]:
-            raise ValueError(f"fs_hz must exceed {2 * SOURCE_BAND_HZ[1]} Hz")
+        if not (2 * SOURCE_BAND_HZ[1] < self.fs_hz < math.inf):
+            raise ValueError(f"fs_hz must be finite and exceed {2 * SOURCE_BAND_HZ[1]} Hz")
 
 
 def pattern_matrix(n_sources: int = 8) -> np.ndarray:
@@ -97,7 +97,7 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
     sources = rng.standard_normal((cfg.n_sources, total))
     band = design_bandpass(SOURCE_BAND_HZ[0], SOURCE_BAND_HZ[1], _SOURCE_FILTER_ORDER, fs)
     for j in range(cfg.n_sources):
-        sources[j] = filtfilt(band, sources[j])
+        sources[j] = filter_channels(band, sources[j])
     # Normalize so each source has unit in-band standard deviation.
     sources /= sources.std(axis=1, keepdims=True)
 
@@ -117,10 +117,6 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
         rng.standard_normal(dtype=np.float32, out=noise)
         noise *= cfg.noise_floor
         data[ch] += noise
-    if cfg.line_noise_amplitude > 0:
-        t = np.arange(total, dtype=np.float32) / np.float32(fs)
-        line = np.float32(cfg.line_noise_amplitude) * np.sin(2 * np.pi * 60.0 * t)
-        data += line
 
     layout = (ChannelLayout.default_64() if cfg.n_channels == 64
               else ChannelLayout.generic(cfg.n_channels))

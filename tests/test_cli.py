@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -319,6 +321,31 @@ class TestConfigHandling:
                      "--subjects", "1"])
         assert code == 1
         assert "n_chanels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc, key", [
+        (["evaluate", "missing.nsr", "--out", "s.json"], {"run": {"k_folds": "5"}}, "run.k_folds"),
+        (["simulate", "--out", "sim", "--sequence", "1"], {"swarm": {"n_drones": "50"}},
+         "swarm.n_drones"),
+        (["synth", "--out", "data"], {"synth": {"timing": {"cue_s": True}}}, "synth.timing.cue_s"),
+    ], ids=["evaluate", "simulate", "synth"])
+    def test_wrong_value_type_is_an_error_not_a_traceback(self, tmp_path, command, doc, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "swarmbci.cli", *command, "--config", str(cfg)],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert f"error: {key} must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "sim").exists() and not (tmp_path / "data").exists()
+
+    def test_int_accepted_for_a_float_field(self, tmp_path):
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps({"swarm": {"n_drones": 4, "max_speed": 2,
+                                             "arena": [0, 50, 0, 50]}}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
+                     "--sequence", "1"]) == 0
 
     def test_no_config_uses_defaults(self, tmp_path):
         out = tmp_path / "sim"

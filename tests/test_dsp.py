@@ -7,9 +7,7 @@ from scipy import signal
 from swarmbci.dsp import (
     FilterSpec,
     design_bandpass,
-    design_notch,
     filter_channels,
-    filtfilt,
     frequency_response,
 )
 from swarmbci.recording import (
@@ -51,44 +49,37 @@ class TestDesignBandpass:
             design_bandpass(8.0, 600.0, 2, FS)
 
     def test_poles_inside_unit_circle(self, bandpass):
-        assert np.max(np.abs(np.roots(bandpass.a))) < 1.0
+        for a0, a1, a2 in bandpass.sos[:, 3:]:
+            assert np.max(np.abs(np.roots([a0, a1, a2]))) < 1.0
 
     def test_unstable_design_rejected(self):
-        # Very high order near Nyquist pushes poles onto the unit circle.
+        # z**2 + 1.21 has its poles at +-1.1j, outside the unit circle.
         with pytest.raises(ValueError):
-            design_bandpass(1e-3, 2e-3, 20, FS)
+            FilterSpec([[1.0, 0.0, 0.0, 1.0, 0.0, 1.21]])
 
+    def test_low_band_high_order_accepted(self):
+        # A valid band that the expanded (b, a) polynomial misreported as unstable.
+        spec = design_bandpass(1.0, 4.0, 4, FS)
+        assert np.max(np.abs(spec.poles)) < 1.0
+        assert spec.settle_len == 12171
 
-class TestDesignNotch:
-    def test_null_at_notch_frequency(self):
-        spec = design_notch(60.0, 30.0, FS)
-        assert frequency_response(spec, 60.0, FS)[0] < 1e-9
-
-    def test_unity_at_dc_and_nyquist(self):
-        spec = design_notch(60.0, 30.0, FS)
-        assert frequency_response(spec, 0.0, FS)[0] == pytest.approx(1.0, abs=1e-6)
-        assert frequency_response(spec, FS / 2, FS)[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_narrow_notch(self):
-        spec = design_notch(60.0, 30.0, FS)
-        assert frequency_response(spec, 55.0, FS)[0] > 0.9
-        assert frequency_response(spec, 65.0, FS)[0] > 0.9
-
-    def test_invalid_frequency(self):
-        with pytest.raises(ValueError):
-            design_notch(600.0, 30.0, FS)
+    def test_malformed_sections_rejected(self):
+        with pytest.raises(ValueError, match="n_sections x 6"):
+            FilterSpec([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="a0 must be 1"):
+            FilterSpec([[1.0, 0.0, 0.0, 2.0, 0.0, 0.0]])
 
 
 class TestFrequencyResponse:
     def test_identity_filter(self):
-        spec = FilterSpec((1.0,), (1.0,))
+        spec = FilterSpec([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
         for f in (0.0, 100.0, 499.0):
             mag, phase = frequency_response(spec, f, FS)
             assert mag == pytest.approx(1.0)
             assert phase == pytest.approx(0.0)
 
     def test_pure_delay(self):
-        spec = FilterSpec((0.0, 1.0), (1.0,))
+        spec = FilterSpec([[0.0, 1.0, 0.0, 1.0, 0.0, 0.0]])
         mag, phase = frequency_response(spec, FS / 4, FS)
         assert mag == pytest.approx(1.0)
         assert phase == pytest.approx(-np.pi / 2)
@@ -99,14 +90,16 @@ class TestFrequencyResponse:
 
 
 class TestFiltfilt:
+    """Single-signal behaviour of :func:`filter_channels` on 1-D input."""
+
     def test_constant_rejected(self, bandpass):
         x = np.full(4000, 7.5)
-        assert np.max(np.abs(filtfilt(bandpass, x))) < 1e-6 * 7.5
+        assert np.max(np.abs(filter_channels(bandpass, x))) < 1e-6 * 7.5
 
     def test_zero_phase_by_cross_correlation(self, bandpass):
         n = 4000
         x = np.sin(2 * np.pi * 19.0 * np.arange(n) / FS)
-        y = filtfilt(bandpass, x)
+        y = filter_channels(bandpass, x)
         yi = y[200:n - 200]
         best = max(range(-3, 4),
                    key=lambda lag: float(np.dot(x[200 + lag:n - 200 + lag], yi)))
@@ -115,7 +108,7 @@ class TestFiltfilt:
     def test_amplitude_matches_squared_response(self, bandpass):
         n = 4000
         x = np.sin(2 * np.pi * 19.0 * np.arange(n) / FS)
-        y = filtfilt(bandpass, x)
+        y = filter_channels(bandpass, x)
         ratio = np.std(y[200:-200]) / np.std(x[200:-200])
         expected = frequency_response(bandpass, 19.0, FS)[0] ** 2
         assert ratio == pytest.approx(expected, rel=0.02)
@@ -124,22 +117,22 @@ class TestFiltfilt:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(2000)
         y = rng.standard_normal(2000)
-        lhs = filtfilt(bandpass, 2.5 * x - 1.25 * y)
-        rhs = 2.5 * filtfilt(bandpass, x) - 1.25 * filtfilt(bandpass, y)
+        lhs = filter_channels(bandpass, 2.5 * x - 1.25 * y)
+        rhs = 2.5 * filter_channels(bandpass, x) - 1.25 * filter_channels(bandpass, y)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(lhs))
 
     def test_length_preserved(self, bandpass):
         x = np.random.default_rng(2).standard_normal(777)
-        assert len(filtfilt(bandpass, x)) == 777
+        assert len(filter_channels(bandpass, x)) == 777
 
     def test_too_short_signal(self, bandpass):
         with pytest.raises(ValueError, match="too short"):
-            filtfilt(bandpass, np.zeros(10))
+            filter_channels(bandpass, np.zeros(10))
 
     def test_deterministic(self, bandpass):
         x = np.random.default_rng(3).standard_normal(1000)
-        a = filtfilt(bandpass, x)
-        b = filtfilt(bandpass, x)
+        a = filter_channels(bandpass, x)
+        b = filter_channels(bandpass, x)
         np.testing.assert_array_equal(a, b)
 
 
@@ -151,26 +144,45 @@ class TestSettleLen:
     def test_transient_below_tolerance_after_settle_len(self, bandpass):
         impulse = np.zeros(3000)
         impulse[0] = 1.0
-        h = signal.lfilter(bandpass.b, bandpass.a, impulse)
+        h = signal.sosfilt(bandpass.sos, impulse)
         n = bandpass.settle_len
         assert np.max(np.abs(h[n:])) < 1e-8 * np.max(np.abs(h))
 
     def test_fir_needs_no_margin(self):
-        assert FilterSpec((0.5, 0.5), (1.0,)).settle_len == 0
+        assert FilterSpec([[0.5, 0.5, 0.0, 1.0, 0.0, 0.0]]).settle_len == 0
+
+
+def _sosfiltfilt(spec, x):
+    """The reference: scipy's forward-backward SOS filter with the same padding."""
+    return signal.sosfiltfilt(spec.sos, np.asarray(x, dtype=np.float64), axis=-1,
+                              padtype="odd", padlen=spec.pad_len)
 
 
 class TestFilterChannels:
     def test_rows_match_filtfilt_bit_for_bit(self, bandpass):
         x = np.random.default_rng(6).standard_normal((3, 900))
         out = filter_channels(bandpass, x)
+        np.testing.assert_array_equal(out, _sosfiltfilt(bandpass, x))
         for ch in range(3):
-            np.testing.assert_array_equal(out[ch], filtfilt(bandpass, x[ch]))
+            np.testing.assert_array_equal(out[ch], filter_channels(bandpass, x[ch]))
+            np.testing.assert_array_equal(out[ch], _sosfiltfilt(bandpass, x[ch]))
+
+    @pytest.mark.parametrize("fs, order, n", [(250.0, 2, 610), (1000.0, 2, 5470),
+                                              (1000.0, 4, 40000)])
+    def test_matches_sosfiltfilt_bit_for_bit(self, fs, order, n):
+        spec = design_bandpass(8.0, 30.0, order, fs)
+        x = np.random.default_rng(n).standard_normal((4, n))
+        np.testing.assert_array_equal(filter_channels(spec, x), _sosfiltfilt(spec, x))
+        np.testing.assert_array_equal(filter_channels(spec, x[2]), _sosfiltfilt(spec, x[2]))
+
+    def test_pad_len_of_the_bandpass(self, bandpass):
+        assert bandpass.pad_len == 12
 
     def test_float32_in_float32_out(self, bandpass):
         x = np.random.default_rng(7).standard_normal((2, 300)).astype(np.float32)
         out = filter_channels(bandpass, x)
         assert out.dtype == np.float32
-        np.testing.assert_array_equal(out[1], filtfilt(bandpass, x[1]))
+        np.testing.assert_array_equal(out[1], _sosfiltfilt(bandpass, x[1]).astype(np.float32))
 
     def test_too_short_signal(self, bandpass):
         with pytest.raises(ValueError, match="too short"):
@@ -226,7 +238,7 @@ class TestWindowedFilterEquivalence:
 
     def test_continuous_stage_within_two_ulp_of_trial_peak(self, bandpass, rec):
         whole = Recording(rec.subject_id, FS, rec.layout,
-                          np.stack([filtfilt(bandpass, row) for row in rec.data]),
+                          filter_channels(bandpass, rec.data),
                           rec.markers)
         reference = extract_trials(whole, self.TIMING)
         windowed = _filtered_trials(bandpass, rec, self.TIMING, bandpass.settle_len)
@@ -241,7 +253,7 @@ class TestWindowedFilterEquivalence:
     def test_epoch_stage_is_the_per_trial_filter_bit_for_bit(self, bandpass, rec):
         windowed = _filtered_trials(bandpass, rec, self.TIMING, margin=0)
         for trial, got in zip(extract_trials(rec, self.TIMING).trials, windowed.trials):
-            expected = np.stack([filtfilt(bandpass, row) for row in trial.samples])
+            expected = _sosfiltfilt(bandpass, trial.samples).astype(np.float32)
             np.testing.assert_array_equal(got.samples, expected)
 
     def test_file_windows_equal_memory_windows(self, bandpass, rec, tmp_path_factory):

@@ -246,6 +246,8 @@ class TestBadFiles:
         ("channels", ["A", "A", "B"], "unique"),
         ("sampling_rate_hz", 0.0, "positive"),
         ("sampling_rate_hz", -250.0, "positive"),
+        ("sampling_rate_hz", float("nan"), "finite"),
+        ("sampling_rate_hz", float("inf"), "finite"),
     ])
     def test_invalid_field(self, reader, good, field, value, message):
         header, payload = _split_nsr(good)
@@ -286,6 +288,11 @@ class TestRecordingInvariants:
     def test_duplicate_channel_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             ChannelLayout(("C1", "C1"))
+
+    @pytest.mark.parametrize("fs", [0.0, float("nan"), float("inf")])
+    def test_sampling_rate_must_be_positive_and_finite(self, fs):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_recording(fs=fs)
 
     def test_default_layout_has_64_channels(self):
         assert ChannelLayout.default_64().count == 64

@@ -7,7 +7,6 @@ from swarmbci.swarm import (
     _clusters_single_linkage,
     behavior_name,
     converged,
-    grid_positions,
     hex_spiral,
     init_swarm,
     metrics,
@@ -274,12 +273,6 @@ class TestExports:
             divmod(k, cfg.n_drones) for k in range(len(rows))]
         xy = np.array([[float(x), float(y)] for _, _, x, y in rows])
         assert np.array_equal(xy.view(np.uint64), np.concatenate(trajectory).view(np.uint64))
-
-    def test_grid_positions_rounding(self, cfg):
-        s = init_swarm(cfg)
-        g = grid_positions(s)
-        assert g.dtype.kind == "i"
-        assert np.max(np.abs(g - s.positions)) <= 0.5
 
 
 class TestConfigInvariants:

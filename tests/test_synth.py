@@ -87,17 +87,6 @@ class TestGenerateSubject:
         out_avg = mean_psd[~in_band & (freqs > 0)].mean()
         assert peak / out_avg > 100.0  # > 20 dB
 
-    def test_line_noise_flag_adds_60hz(self):
-        cfg = SynthConfig(n_channels=8, fs_hz=250, trials_per_class=2,
-                          timing=SMALL_TIMING, separability=0.0, seed=6,
-                          line_noise_amplitude=5.0)
-        rec = generate_subject(cfg)
-        freqs, psd = sp_signal.periodogram(rec.data.astype(np.float64), fs=250.0, axis=1)
-        mean_psd = psd.mean(axis=0)
-        at_60 = mean_psd[np.argmin(np.abs(freqs - 60.0))]
-        at_80 = mean_psd[np.argmin(np.abs(freqs - 80.0))]
-        assert at_60 > 100.0 * at_80
-
     def test_separability_monotonicity_small_scale(self):
         from swarmbci.config import RunConfig
         from swarmbci.evaluate import evaluate_recording
@@ -118,3 +107,6 @@ class TestGenerateSubject:
             SynthConfig(n_sources=80, n_channels=64)
         with pytest.raises(ValueError):
             SynthConfig(noise_floor=0.0)
+        for fs in (60.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="fs_hz"):
+                SynthConfig(fs_hz=fs)
