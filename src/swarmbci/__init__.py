@@ -15,7 +15,6 @@ from swarmbci.recording import (
     Recording,
     Trial,
     TrialSet,
-    class_histogram,
     extract_trials,
     load_recording,
     open_recording,
@@ -32,7 +31,6 @@ __all__ = [
     "RunConfig",
     "Trial",
     "TrialSet",
-    "class_histogram",
     "extract_trials",
     "load_recording",
     "open_recording",

@@ -14,7 +14,7 @@ from functools import partial
 from pathlib import Path
 
 import swarmbci
-from swarmbci.config import RunConfig, dataclass_from_dict, load_config_file
+from swarmbci.config import RunConfig, dataclass_from_dict, json_type_matches, load_config_file
 from swarmbci.evaluate import CvResult, evaluate_recording, summarize_group
 from swarmbci.recording import ParadigmTiming, open_recording, save_recording
 from swarmbci.swarm import (
@@ -181,10 +181,15 @@ def _sequence_from_args(args) -> list[int]:
         return [int(tok) for tok in args.sequence.replace(" ", "").split(",") if tok]
     if args.predictions:
         with open(args.predictions, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if "predicted_labels" not in doc:
-            raise ValueError(f"{args.predictions}: no 'predicted_labels' key")
-        return [int(v) for v in doc["predicted_labels"]]
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # also a file that is not UTF-8
+                raise ValueError(f"{args.predictions}: malformed JSON: {exc}") from exc
+        labels = doc.get("predicted_labels") if isinstance(doc, dict) else None
+        if not json_type_matches(labels, (0,)):
+            raise ValueError(
+                f"{args.predictions}: 'predicted_labels' must be a list of ints, got {labels!r}")
+        return list(labels)
     raise ValueError("a behavior sequence is required (--sequence or --predictions)")
 
 

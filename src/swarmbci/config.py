@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 
@@ -81,17 +82,19 @@ def dataclass_from_dict(cls, d: dict, what: str):
             value = dataclass_from_dict(type(default), value, f"{what}.{key}")
         elif isinstance(default, tuple) and isinstance(value, list):
             value = tuple(value)
-        if not _json_type_matches(value, default):
+        if not json_type_matches(value, default):
             raise ValueError(f"{what}.{key} must be {type(default).__name__}, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)
 
 
-def _json_type_matches(value, default) -> bool:
+def json_type_matches(value, default) -> bool:
+    """Whether JSON ``value`` has ``default``'s type; a tuple's first item types every item."""
     if isinstance(default, tuple):
-        return isinstance(value, tuple) and all(_json_type_matches(v, default[0]) for v in value)
-    if isinstance(default, float):
-        return type(value) in (int, float)
+        return (isinstance(value, (list, tuple))
+                and all(json_type_matches(v, default[0]) for v in value))
+    if isinstance(default, float):  # and an int only if a float can hold it
+        return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
     return type(value) is type(default)
 
 

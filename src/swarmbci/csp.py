@@ -44,12 +44,12 @@ def trial_scatter(samples: np.ndarray) -> np.ndarray:
     return xc @ xc.T
 
 
-def _mean_normalized(scatters: np.ndarray) -> np.ndarray:
-    """Mean of trace-normalized scatter matrices (stacked n x C x C)."""
+def trace_normalized(scatters: np.ndarray) -> np.ndarray:
+    """Each scatter matrix of an (n, C, C) stack divided by its trace."""
     traces = np.trace(scatters, axis1=1, axis2=2)
     if np.any(traces <= 0):
         raise ValueError("degenerate trial: zero total variance")
-    return np.mean(scatters / traces[:, None, None], axis=0)
+    return scatters / traces[:, None, None]
 
 
 def fit_csp_matrices(c_pos: np.ndarray, c_neg: np.ndarray,

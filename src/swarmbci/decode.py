@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from swarmbci.config import RunConfig
-from swarmbci.csp import CspModel, _mean_normalized, features_from_scatter, fit_csp_matrices
+from swarmbci.csp import CspModel, features_from_scatter, fit_csp_matrices, trace_normalized
 from swarmbci.recording import EVENT_CODES
 
 
@@ -90,13 +90,14 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
     ``config`` supplies ``n_pairs``, ``shrinkage`` and ``log_variance_mode``.
     """
     labels = np.asarray(labels)
+    normalized = trace_normalized(scatters)
     per_class = {}
     for code in EVENT_CODES:
         pos_mask = labels == code
         if int(pos_mask.sum()) < 2:
             raise ValueError(f"class {code} needs at least 2 training trials")
-        csp_model = fit_csp_matrices(_mean_normalized(scatters[pos_mask]),
-                                     _mean_normalized(scatters[~pos_mask]), config.n_pairs)
+        csp_model = fit_csp_matrices(np.mean(normalized[pos_mask], axis=0),
+                                     np.mean(normalized[~pos_mask], axis=0), config.n_pairs)
         feats = features_from_scatter(csp_model, scatters, n_samples, config.log_variance_mode)
         lda_model = fit_lda(feats[pos_mask], feats[~pos_mask], config.shrinkage)
         per_class[code] = (csp_model, lda_model)

@@ -7,8 +7,8 @@ applied before CV, which introduces no leakage.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,18 +21,8 @@ from swarmbci.recording import (
     ParadigmTiming,
     Recording,
     RecordingFile,
-    TrialSet,
     extract_trials,
 )
-
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Deterministic stratified assignment of trials to folds."""
-
-    fold_of_trial: tuple[int, ...]
-    k: int
-    seed: int
 
 
 @dataclass
@@ -62,9 +52,6 @@ class CvResult:
             "fold_of_trial": list(self.fold_of_trial),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
 
 @dataclass
 class GroupSummary:
@@ -82,46 +69,45 @@ class GroupSummary:
         }
 
 
-def stratified_kfold(labels, k: int, seed: int) -> FoldAssignment:
-    """Assign trials to k folds, stratified by class.
+def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
+    """Fold index of each trial for k folds, stratified by class.
 
     Within each class the indices are shuffled with a seeded generator
     and dealt round-robin, so per-class fold sizes differ by at most 1.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    labels = list(labels)
+    labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
-    fold_of_trial = [-1] * len(labels)
-    for code in sorted(set(labels)):
-        idx = np.asarray([i for i, lab in enumerate(labels) if lab == code])
+    fold_of_trial = np.full(len(labels), -1)
+    for code in sorted(set(labels.tolist())):
+        idx = np.flatnonzero(labels == code)
         if len(idx) < k:
             raise ValueError(f"class {code} has {len(idx)} trials, fewer than k={k}")
         rng.shuffle(idx)
-        for j, i in enumerate(idx):
-            fold_of_trial[i] = j % k
-    return FoldAssignment(tuple(fold_of_trial), k, seed)
+        fold_of_trial[idx] = np.arange(len(idx)) % k
+    return fold_of_trial
 
 
-def cross_validate(ts: TrialSet, k: int, seed: int, config: RunConfig) -> CvResult:
-    """Leakage-free stratified k-fold CV of the CSP+LDA decoder."""
-    if len(ts) == 0:
-        raise ValueError("cannot cross-validate an empty TrialSet")
-    labels = np.asarray(ts.labels)
+def cross_validate(scatters: np.ndarray, labels, n_samples: int, k: int, seed: int,
+                   config: RunConfig) -> CvResult:
+    """Leakage-free stratified k-fold CV of the CSP+LDA decoder.
+
+    ``scatters`` stacks the (C, C) scatter matrix of each trial (see
+    ``csp.trial_scatter``) over ``n_samples`` samples; a trial's scatter does
+    not depend on fold membership, so computing it before the folds leaks nothing.
+    """
+    labels = np.asarray(labels)
+    if len(labels) == 0:
+        raise ValueError("cannot cross-validate an empty set of trials")
     for code in EVENT_CODES:
         if int(np.sum(labels == code)) == 0:
-            raise ValueError(f"class {code} is absent from the TrialSet")
+            raise ValueError(f"class {code} is absent from the trials")
 
-    assignment = stratified_kfold(ts.labels, k, seed)
-    folds = np.asarray(assignment.fold_of_trial)
-    n_samples = ts.trials[0].n_samples
-    # Per-trial scatter matrices are independent of fold membership, so
-    # computing them once introduces no leakage.
-    scatters = np.stack([trial_scatter(t.samples) for t in ts.trials])
-
+    folds = stratified_kfold(labels, k, seed)
     confusion = np.zeros((4, 4), dtype=int)
     per_fold_accuracy = []
-    predicted = [0] * len(ts)
+    predicted = [0] * len(labels)
     for fold in range(k):
         train_mask = folds != fold
         try:
@@ -147,8 +133,8 @@ def cross_validate(ts: TrialSet, k: int, seed: int, config: RunConfig) -> CvResu
         seed=seed,
         config_fingerprint=config.fingerprint,
         predicted_labels=predicted,
-        true_labels=[int(v) for v in labels],
-        fold_of_trial=list(assignment.fold_of_trial),
+        true_labels=labels.tolist(),
+        fold_of_trial=folds.tolist(),
     )
 
 
@@ -159,13 +145,22 @@ def evaluate_recording(rec: Recording | RecordingFile, config: RunConfig,
     ``rec`` is a Recording or an opened RecordingFile. The "continuous"
     stage filters each trial with ``settle_len`` samples of context on both
     sides, which matches filtering the whole recording to within
-    ``SETTLE_TOL``; the "epoch" stage filters the trial alone.
+    ``SETTLE_TOL``; the "epoch" stage filters the trial alone. Trials are
+    read one at a time and only their scatter matrices are kept.
     """
     spec = design_bandpass(config.band[0], config.band[1], config.filter_order,
                            rec.sampling_rate_hz)
     margin = spec.settle_len if config.filter_stage == "continuous" else 0
-    ts = extract_trials(rec, timing, lambda window: filter_channels(spec, window), margin)
-    return cross_validate(ts, config.k_folds, config.seed, config)
+    condition = partial(filter_channels, spec)
+    n, n_ch = len(rec.markers), rec.layout.count
+    scatters = np.empty((n, n_ch, n_ch))
+    labels = np.empty(n, dtype=int)
+    for i in range(n):
+        (trial,) = extract_trials(rec, timing, condition, margin, range(i, i + 1)).trials
+        scatters[i] = trial_scatter(trial.samples)
+        labels[i] = trial.label
+    return cross_validate(scatters, labels, timing.imagery_len(rec.sampling_rate_hz),
+                          config.k_folds, config.seed, config)
 
 
 def summarize_group(results: dict[str, CvResult]) -> GroupSummary:

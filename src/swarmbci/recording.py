@@ -16,11 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from swarmbci.config import json_type_matches
+
 MAGIC = b"NSR1"
 #: Longest JSON header line read before a file is declared malformed.
 MAX_HEADER_BYTES = 1 << 24
 #: Frames :func:`save_recording` transposes, writes and hashes at a time (4 MiB at 64 channels).
 _WRITE_BLOCK_FRAMES = 16384
+
+#: A value of each NSR header field's JSON type (see :func:`config.json_type_matches`).
+_HEADER_TYPES = {"subject_id": "", "sampling_rate_hz": 0.0, "channels": ("",),
+                 "notch_hz": 0.0, "markers": ((0,),), "n_samples": 0}
 
 #: Command codes shared by markers, trials, and the swarm simulator.
 EVENT_CODES = (1, 2, 3, 4)
@@ -113,6 +119,10 @@ class ParadigmTiming:
         for name in ("rest_s", "cue_s", "fixation_s", "imagery_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+
+    def imagery_len(self, fs: float) -> int:
+        """Samples in one imagery window (one trial) at ``fs``."""
+        return int(round(self.imagery_s * fs))
 
 
 @dataclass
@@ -235,13 +245,6 @@ class TrialSet:
     def __len__(self) -> int:
         return len(self.trials)
 
-    @property
-    def labels(self) -> list[int]:
-        return [t.label for t in self.trials]
-
-    def subset(self, indices) -> "TrialSet":
-        return TrialSet([self.trials[i] for i in indices], self.layout, self.sampling_rate_hz)
-
 
 def save_recording(rec: Recording, path) -> str:
     """Write ``rec`` to ``path`` in NSR format; return the file's sha256 hex digest.
@@ -299,17 +302,14 @@ def open_recording(path) -> RecordingFile:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise NsrFormatError(f"{path}: malformed JSON header: {exc}") from exc
 
-    try:
-        subject_id = str(header["subject_id"])
-        fs = float(header["sampling_rate_hz"])
-        channels = [str(c) for c in header["channels"]]
-        notch = header["notch_hz"]
-        marker_pairs = list(header["markers"])
-        n_samples = int(header["n_samples"])
-        if notch is not None:
-            notch = float(notch)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NsrFormatError(f"{path}: malformed header: {exc}") from exc
+    for key, example in _HEADER_TYPES.items():
+        if not (isinstance(header, dict) and key in header):
+            raise NsrFormatError(f"{path}: malformed header: no field {key!r}")
+        value = header[key]
+        if not (json_type_matches(value, example) or key == "notch_hz" and value is None):
+            raise NsrFormatError(f"{path}: malformed header: {key} has the wrong type: {value!r}")
+    subject_id, fs, channels, notch, marker_pairs, n_samples = (
+        header[key] for key in _HEADER_TYPES)
 
     n_channels = len(channels)
     expected = n_channels * n_samples * 4
@@ -322,12 +322,12 @@ def open_recording(path) -> RecordingFile:
     markers = []
     for i, pair in enumerate(marker_pairs):
         try:
-            sample_index, event_code = int(pair[0]), int(pair[1])
-            markers.append(EventMarker(sample_index, event_code))
-        except (TypeError, IndexError, ValueError) as exc:
+            markers.append(EventMarker(*pair))  # a TypeError unless [sample_index, event_code]
+        except (TypeError, ValueError) as exc:
             raise NsrFormatError(f"{path}: malformed marker {i}: {exc}") from exc
 
     try:
+        fs, notch = float(fs), None if notch is None else float(notch)
         _check_sampling_rate(fs)
         _check_markers(markers, n_samples)
         return RecordingFile(str(path), subject_id, fs, ChannelLayout(tuple(channels)),
@@ -344,12 +344,14 @@ def load_recording(path) -> Recording:
 
 
 def extract_trials(rec: Recording | RecordingFile, timing: ParadigmTiming = ParadigmTiming(),
-                   condition=None, margin: int = 0) -> TrialSet:
-    """Cut the imagery window after every marker into a labeled trial.
+                   condition=None, margin: int = 0, indices: range | None = None) -> TrialSet:
+    """Cut the imagery window after each marker into a labeled trial.
 
     Markers denote imagery onset; each trial is exactly
     ``imagery_s * sampling_rate_hz`` samples. Rest/cue/fixation segments
-    are discarded. A recording without markers yields an empty TrialSet.
+    are discarded. ``indices`` picks a range of markers (default: all);
+    errors name a marker by its index in ``rec.markers``. No marker
+    yields an empty TrialSet.
 
     Each trial is read on its own with ``margin`` extra samples on both
     sides, clipped to the recording. ``condition`` (e.g. a zero-phase
@@ -357,9 +359,10 @@ def extract_trials(rec: Recording | RecordingFile, timing: ParadigmTiming = Para
     trial is cropped out of it as float32. A NaN or Inf in a window read
     raises ``ValueError`` naming the channel and absolute sample index.
     """
-    t_len = int(round(timing.imagery_s * rec.sampling_rate_hz))
+    t_len = timing.imagery_len(rec.sampling_rate_hz)
     trials = []
-    for i, m in enumerate(rec.markers):
+    for i in range(len(rec.markers)) if indices is None else indices:
+        m = rec.markers[i]
         end = m.sample_index + t_len
         if end > rec.n_samples:
             raise ValueError(
@@ -380,11 +383,3 @@ def extract_trials(rec: Recording | RecordingFile, timing: ParadigmTiming = Para
         samples = np.array(window[:, m.sample_index - lo:end - lo], dtype=np.float32, order="C")
         trials.append(Trial(m.event_code, samples))
     return TrialSet(trials, rec.layout, rec.sampling_rate_hz)
-
-
-def class_histogram(ts: TrialSet) -> dict[int, int]:
-    """Trial count per event code (all four codes always present)."""
-    counts = {code: 0 for code in EVENT_CODES}
-    for t in ts.trials:
-        counts[t.label] += 1
-    return counts

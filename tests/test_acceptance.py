@@ -25,7 +25,6 @@ from swarmbci.recording import (
     ParadigmTiming,
     Recording,
     Trial,
-    TrialSet,
     extract_trials,
     load_recording,
     save_recording,
@@ -204,9 +203,12 @@ def _small_trialset(separability, seed, trials_per_class=8):
     return extract_trials(generate_subject(cfg), SMALL_TIMING)
 
 
-def _fit(ts, config):
-    scatters = np.stack([trial_scatter(t.samples) for t in ts.trials])
-    return fit_decoder(scatters, ts.labels, ts.trials[0].n_samples, config)
+def _scatters(trials):
+    return np.stack([trial_scatter(t.samples) for t in trials])
+
+
+def _fit(trials, config):
+    return fit_decoder(_scatters(trials), [t.label for t in trials], trials[0].n_samples, config)
 
 
 def _predict(model, trial):
@@ -227,9 +229,8 @@ def test_lda_oracle():
                  abs(m2.bias - float(b2)))
 
     ts = _small_trialset(0.9, seed=5, trials_per_class=4)
-    doubled = TrialSet(ts.trials + ts.trials, ts.layout, ts.sampling_rate_hz)
-    single = _fit(ts, RunConfig(n_pairs=2))
-    dup = _fit(doubled, RunConfig(n_pairs=2))
+    single = _fit(ts.trials, RunConfig(n_pairs=2))
+    dup = _fit(ts.trials + ts.trials, RunConfig(n_pairs=2))
     probe = _small_trialset(0.9, seed=6, trials_per_class=2).trials[0]
     _, s1 = _predict(single, probe)
     _, s2 = _predict(dup, probe)
@@ -246,18 +247,18 @@ def test_no_leakage_canary():
     ts = _small_trialset(0.0, seed=21, trials_per_class=8)
     x = ts.trials[0].samples.astype(np.float64).copy()
     x[0] = 200.0 * np.sin(2 * np.pi * 15.0 * np.arange(x.shape[1]) / 250.0)
-    trials = list(ts.trials)
-    trials[0] = Trial(4, x)
-    spiked = TrialSet(trials, ts.layout, ts.sampling_rate_hz)
+    spiked = list(ts.trials)
+    spiked[0] = Trial(4, x)
 
     cfg = RunConfig(seed=4, n_pairs=2, k_folds=4)
-    res = cross_validate(spiked, 4, cfg.seed, cfg)
+    res = cross_validate(_scatters(spiked), [t.label for t in spiked], spiked[0].n_samples,
+                         4, cfg.seed, cfg)
     canary_fold = res.fold_of_trial[0]
     train_idx = [i for i in range(len(spiked)) if res.fold_of_trial[i] != canary_fold]
-    leak_free = _fit(spiked.subset(train_idx), cfg)
-    leaked = _fit(spiked.subset(sorted(train_idx + [0])), cfg)
-    p_free = _predict(leak_free, spiked.trials[0])[0]
-    p_leaked = _predict(leaked, spiked.trials[0])[0]
+    leak_free = _fit([spiked[i] for i in train_idx], cfg)
+    leaked = _fit([spiked[i] for i in sorted(train_idx + [0])], cfg)
+    p_free = _predict(leak_free, spiked[0])[0]
+    p_leaked = _predict(leaked, spiked[0])[0]
 
     _report(
         "no-leakage canary: training on the canary provably flips its prediction; "

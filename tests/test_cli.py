@@ -217,6 +217,39 @@ class TestSimulate:
         timeline = read_json(out / "metrics.json")["timeline"]
         assert [e["code"] for e in timeline] == [4, 1]
 
+    @pytest.mark.parametrize("text", [
+        json.dumps({"predicted_labels": [2.7, True, "4"]}),
+        json.dumps({"predicted_labels": [1, True]}),
+        json.dumps({"predicted_labels": [4.0, 1.0]}),
+        json.dumps({"predicted_labels": "4,1"}),
+        json.dumps({"labels": [4, 1]}),
+        json.dumps([4, 1]),
+        '{"predicted_labels": [4, 1',
+        b"\xff\xfe{}",
+    ], ids=["mixed", "bool", "floats", "string", "missing-key", "not-an-object", "truncated",
+            "not-utf8"])
+    def test_bad_predictions_file_named(self, tmp_path, config_path, capsys, text):
+        pred = tmp_path / "pred.json"
+        pred.write_bytes(text if isinstance(text, bytes) else text.encode())
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", config_path, "--out", str(out),
+                     "--predictions", str(pred)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {pred}: ")
+        assert not out.exists()
+
+    def test_bad_predictions_file_is_an_error_not_a_traceback(self, tmp_path):
+        pred = tmp_path / "p.json"
+        pred.write_text(json.dumps({"predicted_labels": [2.7, True, "4"]}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "swarmbci.cli", "simulate", "--out", "sim",
+                               "--predictions", str(pred)],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {pred}: 'predicted_labels' must be a list of ints")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "sim").exists()
+
     def test_invalid_code_fails_before_output(self, tmp_path, config_path, capsys):
         out = tmp_path / "sim"
         code = main(["simulate", "--config", config_path, "--out", str(out),

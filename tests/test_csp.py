@@ -3,9 +3,9 @@ import pytest
 
 from swarmbci.csp import (
     CspModel,
-    _mean_normalized,
     features_from_scatter,
     fit_csp_matrices,
+    trace_normalized,
     trial_scatter,
 )
 from swarmbci.decode import DecoderModel, LdaModel, predict
@@ -25,8 +25,8 @@ def random_trial(n_channels, n_samples, rng):
 
 
 def normalized_covariance(*trials):
-    """Mean of the trials' trace-normalized covariances, through the decoder's core."""
-    return _mean_normalized(np.stack([trial_scatter(x) for x in trials]))
+    """Mean of the trials' trace-normalized covariances, as the decoder takes it."""
+    return np.mean(trace_normalized(np.stack([trial_scatter(x) for x in trials])), axis=0)
 
 
 def features(model, x, mode="plain"):

@@ -6,7 +6,7 @@ import pytest
 from swarmbci.config import RunConfig
 from swarmbci.csp import CspModel, trial_scatter
 from swarmbci.decode import DecoderModel, LdaModel, fit_decoder, fit_lda, predict
-from swarmbci.recording import ParadigmTiming, TrialSet, extract_trials
+from swarmbci.recording import ParadigmTiming, extract_trials
 from swarmbci.synth import SynthConfig, generate_subject
 
 SMALL_TIMING = ParadigmTiming(0.5, 0.5, 0.5, 2.0)
@@ -20,10 +20,10 @@ def small_synth_trialset(separability=0.9, seed=0, trials_per_class=8,
     return extract_trials(generate_subject(cfg), SMALL_TIMING)
 
 
-def fit_trialset(ts, config=RunConfig(n_pairs=2)):
-    """Fit the decoder on a TrialSet's trials through their scatter matrices."""
-    scatters = np.stack([trial_scatter(t.samples) for t in ts.trials])
-    return fit_decoder(scatters, ts.labels, ts.trials[0].n_samples, config)
+def fit_trials(trials, config=RunConfig(n_pairs=2)):
+    """Fit the decoder on a list of trials through their scatter matrices."""
+    scatters = np.stack([trial_scatter(t.samples) for t in trials])
+    return fit_decoder(scatters, [t.label for t in trials], trials[0].n_samples, config)
 
 
 def predict_trial(model, trial):
@@ -140,7 +140,7 @@ class TestFitLda:
 class TestFitDecoder:
     def test_per_class_model_structure(self):
         ts = small_synth_trialset(trials_per_class=5)
-        model = fit_trialset(ts)
+        model = fit_trials(ts.trials)
         assert sorted(model.per_class) == [1, 2, 3, 4]
         for csp_model, lda_model in model.per_class.values():
             assert len(csp_model.selected) == 4
@@ -148,15 +148,14 @@ class TestFitDecoder:
 
     def test_missing_class_named_in_error(self):
         ts = small_synth_trialset(trials_per_class=5)
-        without_3 = ts.subset([i for i, t in enumerate(ts.trials) if t.label != 3])
+        without_3 = [t for t in ts.trials if t.label != 3]
         with pytest.raises(ValueError, match="class 3"):
-            fit_trialset(without_3, RunConfig())
+            fit_trials(without_3, RunConfig())
 
     def test_duplication_invariance(self):
         ts = small_synth_trialset(trials_per_class=4, seed=5)
-        doubled = TrialSet(ts.trials + ts.trials, ts.layout, ts.sampling_rate_hz)
-        m1 = fit_trialset(ts)
-        m2 = fit_trialset(doubled)
+        m1 = fit_trials(ts.trials)
+        m2 = fit_trials(ts.trials + ts.trials)
         probe = small_synth_trialset(trials_per_class=2, seed=99).trials[0]
         _, s1 = predict_trial(m1, probe)
         _, s2 = predict_trial(m2, probe)
@@ -165,7 +164,7 @@ class TestFitDecoder:
 
     def test_deterministic(self):
         ts = small_synth_trialset(trials_per_class=4, seed=6)
-        m1, m2 = fit_trialset(ts), fit_trialset(ts)
+        m1, m2 = fit_trials(ts.trials), fit_trials(ts.trials)
         probe = ts.trials[0]
         assert predict_trial(m1, probe) == predict_trial(m2, probe)
 
@@ -184,9 +183,9 @@ class TestPredict:
                 test_idx.append(i)
             else:
                 train_idx.append(i)
-        model = fit_trialset(ts.subset(sorted(train_idx)))
-        fresh = ts.subset(sorted(test_idx))
-        hits = sum(predict_trial(model, t)[0] == t.label for t in fresh.trials)
+        model = fit_trials([ts.trials[i] for i in sorted(train_idx)])
+        fresh = [ts.trials[i] for i in sorted(test_idx)]
+        hits = sum(predict_trial(model, t)[0] == t.label for t in fresh)
         assert hits >= 0.8 * len(fresh)
 
     def test_all_zero_model_ties_break_to_class_1(self):
@@ -201,7 +200,7 @@ class TestPredict:
 
     def test_argmax_invariant_to_constant_score_shift(self):
         ts = small_synth_trialset(trials_per_class=5, seed=9)
-        model = fit_trialset(ts)
+        model = fit_trials(ts.trials)
         shifted = DecoderModel(
             {c: (csp, LdaModel(lda.weights, lda.bias + 17.5, lda.shrinkage))
              for c, (csp, lda) in model.per_class.items()},
@@ -211,6 +210,6 @@ class TestPredict:
 
     def test_channel_mismatch(self):
         ts = small_synth_trialset(trials_per_class=5, seed=10)
-        model = fit_trialset(ts)
+        model = fit_trials(ts.trials)
         with pytest.raises(ValueError, match="channels"):
             predict(model, trial_scatter(np.random.default_rng(0).standard_normal((3, 100))), 100)

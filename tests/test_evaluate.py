@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,15 @@ from swarmbci.evaluate import (
     stratified_kfold,
     summarize_group,
 )
-from swarmbci.recording import ParadigmTiming, Trial, TrialSet, extract_trials
+from swarmbci.dsp import design_bandpass, filter_channels
+from swarmbci.recording import (
+    ChannelLayout,
+    EventMarker,
+    ParadigmTiming,
+    Recording,
+    Trial,
+    extract_trials,
+)
 from swarmbci.synth import SynthConfig, generate_subject
 
 SMALL_TIMING = ParadigmTiming(0.5, 0.5, 0.5, 2.0)
@@ -28,11 +39,17 @@ def small_trialset(separability, seed, **kwargs):
     return extract_trials(small_subject(separability, seed, **kwargs), SMALL_TIMING)
 
 
+def cv(trials, k, seed, config):
+    """``cross_validate`` on the trials' stacked scatter matrices and labels."""
+    scatters = np.stack([trial_scatter(t.samples) for t in trials])
+    return cross_validate(scatters, [t.label for t in trials], trials[0].n_samples,
+                          k, seed, config)
+
+
 class TestStratifiedKfold:
     def test_full_session_shape_gives_balanced_folds(self):
         labels = list(np.repeat([1, 2, 3, 4], 50))
-        fa = stratified_kfold(labels, 5, seed=0)
-        folds = np.asarray(fa.fold_of_trial)
+        folds = stratified_kfold(labels, 5, seed=0)
         for f in range(5):
             assert np.sum(folds == f) == 40
             for code in (1, 2, 3, 4):
@@ -49,12 +66,12 @@ class TestStratifiedKfold:
 
     def test_deterministic(self):
         labels = list(np.repeat([1, 2, 3, 4], 13))
-        assert stratified_kfold(labels, 5, 42) == stratified_kfold(labels, 5, 42)
+        np.testing.assert_array_equal(stratified_kfold(labels, 5, 42),
+                                      stratified_kfold(labels, 5, 42))
 
     def test_uneven_classes_differ_by_at_most_one(self):
         labels = [1] * 11 + [2] * 7 + [3] * 9 + [4] * 5
-        fa = stratified_kfold(labels, 3, seed=1)
-        folds = np.asarray(fa.fold_of_trial)
+        folds = stratified_kfold(labels, 3, seed=1)
         labels_arr = np.asarray(labels)
         for code in (1, 2, 3, 4):
             sizes = [np.sum((folds == f) & (labels_arr == code)) for f in range(3)]
@@ -62,59 +79,62 @@ class TestStratifiedKfold:
 
     def test_every_trial_assigned_once(self):
         labels = list(np.repeat([1, 2, 3, 4], 10))
-        fa = stratified_kfold(labels, 4, seed=2)
-        assert all(0 <= f < 4 for f in fa.fold_of_trial)
-        assert len(fa.fold_of_trial) == len(labels)
+        folds = stratified_kfold(labels, 4, seed=2)
+        assert all(0 <= f < 4 for f in folds)
+        assert len(folds) == len(labels)
 
 
 class TestCrossValidate:
     def test_separable_set_scores_high(self):
         ts = small_trialset(0.9, seed=30)
-        res = cross_validate(ts, 5, 3, RunConfig(seed=3, n_pairs=2))
+        res = cv(ts.trials, 5, 3, RunConfig(seed=3, n_pairs=2))
         assert res.mean_accuracy >= 0.90
 
     def test_zero_separability_is_chance(self):
-        accs = [cross_validate(small_trialset(0.0, seed=s, trials_per_class=15),
-                               5, s, RunConfig(seed=s, n_pairs=2)).mean_accuracy
+        accs = [cv(small_trialset(0.0, seed=s, trials_per_class=15).trials,
+                   5, s, RunConfig(seed=s, n_pairs=2)).mean_accuracy
                 for s in (31, 32, 33)]
         assert 0.10 <= np.mean(accs) <= 0.40  # wide band: small-n binomial spread
 
     def test_permuted_labels_are_chance(self):
         ts = small_trialset(0.9, seed=34, trials_per_class=15)
         rng = np.random.default_rng(0)
-        labels = np.asarray(ts.labels)
+        labels = np.asarray([t.label for t in ts.trials])
         rng.shuffle(labels)
-        permuted = TrialSet([Trial(int(lab), t.samples) for lab, t in zip(labels, ts.trials)],
-                            ts.layout, ts.sampling_rate_hz)
-        accs = [cross_validate(permuted, 5, s, RunConfig(seed=s, n_pairs=2)).mean_accuracy
+        permuted = [Trial(int(lab), t.samples) for lab, t in zip(labels, ts.trials)]
+        accs = [cv(permuted, 5, s, RunConfig(seed=s, n_pairs=2)).mean_accuracy
                 for s in (1, 2, 3)]
         assert 0.10 <= np.mean(accs) <= 0.40
 
     def test_confusion_rows_match_class_counts(self):
         ts = small_trialset(0.5, seed=35)
-        res = cross_validate(ts, 5, 0, RunConfig(n_pairs=2))
+        res = cv(ts.trials, 5, 0, RunConfig(n_pairs=2))
         counts = np.bincount([t.label for t in ts.trials], minlength=5)[1:]
         np.testing.assert_array_equal(res.confusion.sum(axis=1), counts)
         assert res.confusion.sum() == len(ts)
 
     def test_mean_matches_folds(self):
         ts = small_trialset(0.6, seed=36)
-        res = cross_validate(ts, 5, 0, RunConfig(n_pairs=2))
+        res = cv(ts.trials, 5, 0, RunConfig(n_pairs=2))
         assert res.mean_accuracy == pytest.approx(np.mean(res.per_fold_accuracy), abs=1e-12)
         assert res.std_accuracy == pytest.approx(np.std(res.per_fold_accuracy), abs=1e-12)
 
     def test_reproducible_json(self):
         ts = small_trialset(0.4, seed=37)
         cfg = RunConfig(seed=9, n_pairs=2)
-        a = cross_validate(ts, 4, 9, cfg)
-        b = cross_validate(ts, 4, 9, cfg)
-        assert a.to_json() == b.to_json()
+        a = cv(ts.trials, 4, 9, cfg)
+        b = cv(ts.trials, 4, 9, cfg)
+        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
     def test_missing_class_rejected(self):
         ts = small_trialset(0.4, seed=38)
-        no4 = ts.subset([i for i, t in enumerate(ts.trials) if t.label != 4])
+        no4 = [t for t in ts.trials if t.label != 4]
         with pytest.raises(ValueError, match="class 4"):
-            cross_validate(no4, 4, 0, RunConfig(n_pairs=2))
+            cv(no4, 4, 0, RunConfig(n_pairs=2))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            cross_validate(np.empty((0, 3, 3)), np.empty(0, dtype=int), 10, 5, 0, RunConfig())
 
     def test_no_leakage_canary(self):
         # Chance-level data plus one extreme, mislabeled trial. A decoder
@@ -124,18 +144,16 @@ class TestCrossValidate:
         x = ts.trials[0].samples.astype(np.float64).copy()
         x[0] = 200.0 * np.sin(2 * np.pi * 15.0 * np.arange(x.shape[1]) / 250.0)
         canary = Trial(4, x)
-        trials = list(ts.trials)
-        trials[0] = canary
-        spiked = TrialSet(trials, ts.layout, ts.sampling_rate_hz)
+        spiked = list(ts.trials)
+        spiked[0] = canary
+        scatters = np.stack([trial_scatter(t.samples) for t in spiked])
+        labels = np.asarray([t.label for t in spiked])
+        n_samples = canary.n_samples
 
         cfg = RunConfig(seed=4, n_pairs=2, k_folds=4)
-        res = cross_validate(spiked, 4, cfg.seed, cfg)
+        res = cross_validate(scatters, labels, n_samples, 4, cfg.seed, cfg)
         canary_fold = res.fold_of_trial[0]
         train_idx = [i for i in range(len(spiked)) if res.fold_of_trial[i] != canary_fold]
-
-        scatters = np.stack([trial_scatter(t.samples) for t in spiked.trials])
-        labels = np.asarray(spiked.labels)
-        n_samples = canary.n_samples
 
         def fit(idx):
             return fit_decoder(scatters[idx], labels[idx], n_samples, cfg)
@@ -176,6 +194,49 @@ class TestEvaluateRecording:
         cfg = RunConfig(seed=1, n_pairs=2)
         res = evaluate_recording(rec, cfg, SMALL_TIMING)
         assert res.config_fingerprint == cfg.fingerprint
+
+    @pytest.mark.parametrize("stage", ["continuous", "epoch"])
+    def test_streamed_equals_the_materialised_trials(self, stage):
+        rec = small_subject(0.6, seed=44)
+        cfg = RunConfig(seed=2, n_pairs=2, filter_stage=stage)
+        spec = design_bandpass(*cfg.band, cfg.filter_order, rec.sampling_rate_hz)
+        margin = spec.settle_len if stage == "continuous" else 0
+        ts = extract_trials(rec, SMALL_TIMING, lambda w: filter_channels(spec, w), margin)
+        expected = cv(ts.trials, cfg.k_folds, cfg.seed, cfg)
+        got = evaluate_recording(rec, cfg, SMALL_TIMING)
+        assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(expected.to_dict(),
+                                                                      sort_keys=True)
+
+    def test_recording_without_trials_rejected(self):
+        rec = Recording("none", 250.0, ChannelLayout.generic(4), np.zeros((4, 2000)))
+        with pytest.raises(ValueError, match="empty"):
+            evaluate_recording(rec, RunConfig(), SMALL_TIMING)
+
+
+def _random_recording(n_trials, n_channels=16, fs=250.0, timing=ParadigmTiming()):
+    """White noise with one marker per trial, classes in turn; no synth."""
+    t_len, gap = round(timing.imagery_s * fs), 400
+    rng = np.random.default_rng(n_trials)
+    data = rng.standard_normal((n_channels, n_trials * (t_len + gap) + gap), dtype=np.float32)
+    markers = [EventMarker(gap + i * (t_len + gap), 1 + i % 4) for i in range(n_trials)]
+    return Recording("noise", fs, ChannelLayout.generic(n_channels), data, markers)
+
+
+def test_memory_grows_with_the_scatters_not_the_trials():
+    # Four times the trials may cost more scatter matrices (16 x 16 float64
+    # each), not more trial windows (16 x 1000 float32 each).
+    n, timing = 20, ParadigmTiming()
+    recs = {m: _random_recording(m * n, timing=timing) for m in (1, 4)}
+    peak = {}
+    for m, rec in recs.items():
+        tracemalloc.start()
+        try:
+            evaluate_recording(rec, RunConfig(), timing)
+            peak[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    trial_bytes = 16 * round(timing.imagery_s * 250.0) * 4
+    assert peak[4] - peak[1] < 0.5 * (3 * n) * trial_bytes
 
 
 class TestSummarizeGroup:

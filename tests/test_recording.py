@@ -18,7 +18,6 @@ from swarmbci.recording import (
     Recording,
     Trial,
     TrialSet,
-    class_histogram,
     extract_trials,
     load_recording,
     open_recording,
@@ -232,6 +231,20 @@ class TestBadFiles:
         with pytest.raises(NsrFormatError, match="malformed header"):
             reader(good)
 
+    def test_header_not_an_object(self, reader, good):
+        _, payload = _split_nsr(good)
+        _write_nsr(good, ["subject_id", "test"], payload)
+        with pytest.raises(NsrFormatError, match="malformed header"):
+            reader(good)
+
+    def test_int_for_float_fields_accepted(self, reader, good):
+        header, payload = _split_nsr(good)
+        header["sampling_rate_hz"], header["notch_hz"] = 1000, 50
+        _write_nsr(good, header, payload)
+        src = reader(good)
+        assert (src.sampling_rate_hz, src.notch_applied_hz) == (1000.0, 50.0)
+        assert type(src.sampling_rate_hz) is float and type(src.notch_applied_hz) is float
+
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_payload_one_byte_off(self, reader, good, delta):
         header, payload = _split_nsr(good)
@@ -248,6 +261,24 @@ class TestBadFiles:
         ("sampling_rate_hz", -250.0, "positive"),
         ("sampling_rate_hz", float("nan"), "finite"),
         ("sampling_rate_hz", float("inf"), "finite"),
+        # Values of the wrong JSON type are rejected, not coerced.
+        ("sampling_rate_hz", True, "sampling_rate_hz has the wrong type"),
+        ("sampling_rate_hz", "250", "sampling_rate_hz has the wrong type"),
+        ("subject_id", 5, "subject_id has the wrong type"),
+        ("channels", ["A", 2, "C"], "channels has the wrong type"),
+        ("channels", "ABC", "channels has the wrong type"),
+        ("notch_hz", "60", "notch_hz has the wrong type"),
+        ("notch_hz", False, "notch_hz has the wrong type"),
+        ("n_samples", 200.0, "n_samples has the wrong type"),
+        ("n_samples", True, "n_samples has the wrong type"),
+        ("markers", [[100.7, 2.9]], "markers has the wrong type"),
+        ("markers", [[10, True]], "markers has the wrong type"),
+        ("markers", [["10", 1]], "markers has the wrong type"),
+        ("markers", {"10": 1}, "markers has the wrong type"),
+        ("markers", [[10]], "malformed marker 0"),
+        ("markers", [[10, 1], [120, 2, 0]], "malformed marker 1"),
+        pytest.param("sampling_rate_hz", 10 ** 400, "sampling_rate_hz has the wrong type",
+                     id="sampling_rate_hz-int-beyond-float"),
     ])
     def test_invalid_field(self, reader, good, field, value, message):
         header, payload = _split_nsr(good)
@@ -324,7 +355,7 @@ class TestExtractTrials:
         rec = make_recording(n_channels=4, n_samples=200 * step, fs=fs, markers=markers)
         ts = extract_trials(rec, ParadigmTiming())
         assert len(ts) == 200
-        assert class_histogram(ts) == {1: 50, 2: 50, 3: 50, 4: 50}
+        assert class_counts(ts) == [50, 50, 50, 50]
         assert [t.label for t in ts.trials] == [c for _, c in markers]
 
     def test_marker_at_last_sample_errors_with_index(self):
@@ -332,6 +363,27 @@ class TestExtractTrials:
                              markers=[(0, 1), (4999, 2)])
         with pytest.raises(ValueError, match="marker 1"):
             extract_trials(rec, ParadigmTiming())
+
+    def test_marker_range(self):
+        rec = make_recording(n_channels=2, n_samples=20000, fs=1000.0,
+                             markers=[(0, 1), (5000, 2), (10000, 3), (15000, 4)])
+        everything = extract_trials(rec, ParadigmTiming())
+        for i in range(4):
+            (trial,) = extract_trials(rec, ParadigmTiming(), indices=range(i, i + 1)).trials
+            assert trial.label == everything.trials[i].label
+            np.testing.assert_array_equal(trial.samples, everything.trials[i].samples)
+        middle = extract_trials(rec, ParadigmTiming(), indices=range(1, 3))
+        assert [t.label for t in middle.trials] == [2, 3]
+        assert len(extract_trials(rec, ParadigmTiming(), indices=range(2, 2))) == 0
+
+    def test_marker_range_errors_name_the_absolute_marker(self):
+        rec = make_recording(n_channels=2, n_samples=12000, fs=1000.0,
+                             markers=[(0, 1), (5000, 2), (9000, 3)])
+        rec.data[1, 5100] = np.nan
+        with pytest.raises(ValueError, match="marker 2 window out of range"):
+            extract_trials(rec, ParadigmTiming(), indices=range(2, 3))
+        with pytest.raises(ValueError, match="channel Ch02 at sample 5100"):
+            extract_trials(rec, ParadigmTiming(), indices=range(1, 2))
 
     def test_zero_markers_gives_empty_trialset(self):
         ts = extract_trials(make_recording(), ParadigmTiming())
@@ -376,19 +428,24 @@ class TestNonFiniteSamples:
             extract_trials(open_recording(path), ParadigmTiming())
 
 
+def class_counts(ts):
+    """Trials per event code 1-4, from the trials' label array."""
+    return np.bincount(np.array([t.label for t in ts.trials], dtype=int), minlength=5)[1:].tolist()
+
+
 class TestClassHistogram:
     def test_empty(self):
         ts = TrialSet([], ChannelLayout.generic(2), 1000.0)
-        assert class_histogram(ts) == {1: 0, 2: 0, 3: 0, 4: 0}
+        assert class_counts(ts) == [0, 0, 0, 0]
 
     def test_mixed(self):
         x = np.zeros((2, 10), dtype=np.float32)
         ts = TrialSet([Trial(1, x), Trial(1, x), Trial(2, x)],
                       ChannelLayout.generic(2), 1000.0)
-        assert class_histogram(ts) == {1: 2, 2: 1, 3: 0, 4: 0}
+        assert class_counts(ts) == [2, 1, 0, 0]
 
     def test_counts_sum_to_total(self):
         rec = make_recording(n_samples=30000,
                              markers=[(i * 5000, (i % 4) + 1) for i in range(5)])
         ts = extract_trials(rec, ParadigmTiming())
-        assert sum(class_histogram(ts).values()) == len(ts)
+        assert sum(class_counts(ts)) == len(ts)
