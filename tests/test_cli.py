@@ -360,7 +360,8 @@ class TestConfigHandling:
         (["simulate", "--out", "sim", "--sequence", "1"], {"swarm": {"n_drones": "50"}},
          "swarm.n_drones"),
         (["synth", "--out", "data"], {"synth": {"timing": {"cue_s": True}}}, "synth.timing.cue_s"),
-    ], ids=["evaluate", "simulate", "synth"])
+        (["synth", "--out", "data"], {"synth": {"fs_hz": 10 ** 400}}, "synth.fs_hz"),
+    ], ids=["evaluate", "simulate", "synth", "synth-int-beyond-float"])
     def test_wrong_value_type_is_an_error_not_a_traceback(self, tmp_path, command, doc, key):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
