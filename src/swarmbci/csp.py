@@ -37,10 +37,15 @@ class CspModel:
         return self.w.shape[0]
 
 
-def trial_scatter(samples: np.ndarray) -> np.ndarray:
-    """Channel-mean-centered scatter matrix Xc Xc^T of one trial."""
-    x = np.asarray(samples, dtype=np.float64)
-    xc = x - x.mean(axis=1, keepdims=True)
+def trial_scatter(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Channel-mean-centered scatter matrix Xc Xc^T of one trial.
+
+    The trial is centred in float64, in ``out`` if given (an array of the
+    trial's shape), else in a new array.
+    """
+    xc = np.empty(np.shape(samples)) if out is None else out
+    np.copyto(xc, samples)
+    xc -= xc.mean(axis=1, keepdims=True)
     return xc @ xc.T
 
 

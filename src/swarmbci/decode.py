@@ -96,8 +96,9 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
         pos_mask = labels == code
         if int(pos_mask.sum()) < 2:
             raise ValueError(f"class {code} needs at least 2 training trials")
-        csp_model = fit_csp_matrices(np.mean(normalized[pos_mask], axis=0),
-                                     np.mean(normalized[~pos_mask], axis=0), config.n_pairs)
+        csp_model = fit_csp_matrices(np.mean(normalized, axis=0, where=pos_mask[:, None, None]),
+                                     np.mean(normalized, axis=0, where=~pos_mask[:, None, None]),
+                                     config.n_pairs)
         feats = features_from_scatter(csp_model, scatters, n_samples, config.log_variance_mode)
         lda_model = fit_lda(feats[pos_mask], feats[~pos_mask], config.shrinkage)
         per_class[code] = (csp_model, lda_model)

@@ -88,7 +88,8 @@ def frequency_response(spec: FilterSpec, freq_hz: float, fs: float) -> tuple[flo
     return float(np.abs(h)), float(np.angle(h))
 
 
-def filter_channels(spec: FilterSpec, data: np.ndarray) -> np.ndarray:
+def filter_channels(spec: FilterSpec, data: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Zero-phase forward-backward filtering along the last axis of a 1-D or 2-D array.
 
     Odd-reflection padding of ``spec.pad_len`` samples is applied at
@@ -97,20 +98,39 @@ def filter_channels(spec: FilterSpec, data: np.ndarray) -> np.ndarray:
     response is |H|^2, net phase response is zero. The result equals
     ``scipy.signal.sosfiltfilt(spec.sos, data, padlen=spec.pad_len)``
     bit for bit; ``zi`` is solved once per :class:`FilterSpec`, not per call.
+
+    The padded signal is built in float64, in ``out`` if given: an array of
+    ``data``'s leading shape with room for ``n + 2 * spec.pad_len`` samples,
+    whose pages a caller filtering many windows can keep. The result is
+    float32 for float32 ``data`` without ``out``, else float64.
     """
     data = np.asarray(data)
     if data.ndim not in (1, 2):
         raise ValueError(f"filter_channels expects a 1-D or 2-D array, got ndim={data.ndim}")
-    pad = spec.pad_len
-    if data.shape[-1] <= pad:
-        raise ValueError(
-            f"signal too short for padding: need > {pad} samples, got {data.shape[-1]}"
-        )
-    x = data.astype(np.float64, copy=False)
-    ext = np.concatenate((2 * x[..., :1] - x[..., pad:0:-1], x,
-                          2 * x[..., -1:] - x[..., -2:-pad - 2:-1]), axis=-1)
+    pad, n = spec.pad_len, data.shape[-1]
+    if n <= pad:
+        raise ValueError(f"signal too short for padding: need > {pad} samples, got {n}")
+    if out is None:
+        ext = np.empty(data.shape[:-1] + (n + 2 * pad,))
+    elif (out.dtype != np.float64 or out.shape[:-1] != data.shape[:-1]
+          or out.shape[-1] < n + 2 * pad):
+        raise ValueError(f"out must be float64 of shape {data.shape[:-1]} + (>= {n + 2 * pad},), "
+                         f"got {out.dtype} {out.shape}")
+    else:
+        ext = out[..., :n + 2 * pad]
+    x = ext[..., pad:pad + n]
+    np.copyto(x, data)
+    np.subtract(2 * x[..., :1], x[..., pad:0:-1], out=ext[..., :pad])
+    np.subtract(2 * x[..., -1:], x[..., -2:-pad - 2:-1], out=ext[..., pad + n:])
     zi = spec.zi.reshape((len(spec.sos),) + (1,) * (x.ndim - 1) + (2,))
     y, _ = signal.sosfilt(spec.sos, ext, zi=zi * ext[..., :1])
-    y, _ = signal.sosfilt(spec.sos, y[..., ::-1], zi=zi * y[..., -1:])
+    # The backward pass reads its reversed input from ``ext``, so the forward
+    # pass's output is freed before sosfilt copies that input. With one such
+    # copy alive at a time, the allocator can give both passes, and the next
+    # call, the same pages; two alive at once were returned to the system
+    # together and faulted in afresh for every window.
+    np.copyto(ext, y[..., ::-1])
+    del y
+    y, _ = signal.sosfilt(spec.sos, ext, zi=zi * ext[..., :1])
     y = y[..., ::-1][..., pad:-pad]
-    return y.astype(data.dtype) if data.dtype == np.float32 else y
+    return y.astype(np.float32) if data.dtype == np.float32 and out is None else y

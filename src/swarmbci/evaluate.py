@@ -15,7 +15,7 @@ import numpy as np
 from swarmbci.config import RunConfig
 from swarmbci.csp import trial_scatter
 from swarmbci.decode import fit_decoder, predict
-from swarmbci.dsp import design_bandpass, filter_channels
+from swarmbci.dsp import FilterSpec, design_bandpass, filter_channels
 from swarmbci.recording import (
     EVENT_CODES,
     ParadigmTiming,
@@ -138,6 +138,32 @@ def cross_validate(scatters: np.ndarray, labels, n_samples: int, k: int, seed: i
     )
 
 
+def _scatter_stack(rec: Recording | RecordingFile, timing: ParadigmTiming, spec: FilterSpec,
+                   margin: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, C, C) trial scatters and the labels, reading and filtering one trial at a time.
+
+    Every trial goes through one set of window-sized buffers: the read frames,
+    the padded filter input, the float32 trial and the centred trial. Their
+    pages are faulted in once per subject, not once per trial, and are freed
+    when this returns, before the folds.
+    """
+    t_len, n_ch = timing.imagery_len(rec.sampling_rate_hz), rec.layout.count
+    frames = np.empty((t_len + 2 * margin, n_ch), dtype="<f4")
+    condition = partial(filter_channels, spec,
+                        out=np.empty((n_ch, t_len + 2 * margin + 2 * spec.pad_len)))
+    crop = np.empty((1, n_ch, t_len), dtype=np.float32)
+    centred = np.empty((n_ch, t_len))
+    n = len(rec.markers)
+    scatters = np.empty((n, n_ch, n_ch))
+    labels = np.empty(n, dtype=int)
+    for i in range(n):
+        (trial,) = extract_trials(rec, timing, condition, margin, range(i, i + 1),
+                                  out=crop, frames=frames).trials
+        scatters[i] = trial_scatter(trial.samples, out=centred)
+        labels[i] = trial.label
+    return scatters, labels
+
+
 def evaluate_recording(rec: Recording | RecordingFile, config: RunConfig,
                        timing: ParadigmTiming = ParadigmTiming()) -> CvResult:
     """Full single-subject pipeline: filter and epoch each trial, cross-validate.
@@ -151,14 +177,7 @@ def evaluate_recording(rec: Recording | RecordingFile, config: RunConfig,
     spec = design_bandpass(config.band[0], config.band[1], config.filter_order,
                            rec.sampling_rate_hz)
     margin = spec.settle_len if config.filter_stage == "continuous" else 0
-    condition = partial(filter_channels, spec)
-    n, n_ch = len(rec.markers), rec.layout.count
-    scatters = np.empty((n, n_ch, n_ch))
-    labels = np.empty(n, dtype=int)
-    for i in range(n):
-        (trial,) = extract_trials(rec, timing, condition, margin, range(i, i + 1)).trials
-        scatters[i] = trial_scatter(trial.samples)
-        labels[i] = trial.label
+    scatters, labels = _scatter_stack(rec, timing, spec, margin)
     return cross_validate(scatters, labels, timing.imagery_len(rec.sampling_rate_hz),
                           config.k_folds, config.seed, config)
 

@@ -76,6 +76,17 @@ class TestTrialCovariance:
         b = normalized_covariance(x + 100.0)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
+    def test_centred_in_out_bit_for_bit(self):
+        # float32 trials, as the evaluate path crops them, through one reused buffer.
+        rng = np.random.default_rng(3)
+        out = np.empty((4, 120))
+        for _ in range(3):
+            x = (50.0 * rng.standard_normal((4, 120)) + 7.0).astype(np.float32)
+            reference = np.asarray(x, dtype=np.float64)
+            reference = reference - reference.mean(axis=1, keepdims=True)
+            np.testing.assert_array_equal(trial_scatter(x, out=out), reference @ reference.T)
+            np.testing.assert_array_equal(out, reference)
+
 
 class TestClassMeanCovariance:
     def test_single_trial(self):

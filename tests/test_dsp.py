@@ -188,6 +188,27 @@ class TestFilterChannels:
         with pytest.raises(ValueError, match="too short"):
             filter_channels(bandpass, np.zeros((2, 10)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reused_out_matches_sosfiltfilt_bit_for_bit(self, dtype):
+        # Consecutive windows of different lengths through one buffer, the
+        # longest first and then shorter ones, as trials clipped by the ends
+        # of a recording: none may see what an earlier window left there.
+        spec = design_bandpass(8.0, 30.0, 4, 1000.0)
+        rng = np.random.default_rng(12)
+        out = np.empty((3, 5470 + 2 * spec.pad_len))
+        for n in (5470, 4000, 5470, 300, 4735):
+            x = (100.0 * rng.standard_normal((3, n))).astype(dtype)
+            got = filter_channels(spec, x, out=out)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, _sosfiltfilt(spec, x))
+
+    @pytest.mark.parametrize("shape, dtype", [((400,), np.float64), ((3, 400), np.float64),
+                                              ((2, 323), np.float64), ((2, 400), np.float32)])
+    def test_unfit_out_rejected(self, bandpass, shape, dtype):
+        # 300 samples need a row of 300 + 2 * 12.
+        with pytest.raises(ValueError, match="out must be float64"):
+            filter_channels(bandpass, np.zeros((2, 300)), out=np.empty(shape, dtype))
+
 
 def _recording(data, markers, fs=FS):
     data = np.asarray(data, dtype=np.float32)

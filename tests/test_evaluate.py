@@ -1,14 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmbci
 from swarmbci.config import RunConfig
 from swarmbci.csp import trial_scatter
 from swarmbci.decode import fit_decoder, predict
 from swarmbci.evaluate import (
     CvResult,
+    _scatter_stack,
     cross_validate,
     evaluate_recording,
     stratified_kfold,
@@ -22,6 +29,8 @@ from swarmbci.recording import (
     Recording,
     Trial,
     extract_trials,
+    open_recording,
+    save_recording,
 )
 from swarmbci.synth import SynthConfig, generate_subject
 
@@ -196,16 +205,28 @@ class TestEvaluateRecording:
         assert res.config_fingerprint == cfg.fingerprint
 
     @pytest.mark.parametrize("stage", ["continuous", "epoch"])
-    def test_streamed_equals_the_materialised_trials(self, stage):
-        rec = small_subject(0.6, seed=44)
+    def test_streamed_equals_the_materialised_trials(self, stage, tmp_path):
+        subject = small_subject(0.6, seed=44)
         cfg = RunConfig(seed=2, n_pairs=2, filter_stage=stage)
-        spec = design_bandpass(*cfg.band, cfg.filter_order, rec.sampling_rate_hz)
+        spec = design_bandpass(*cfg.band, cfg.filter_order, subject.sampling_rate_hz)
+        t_len, end = SMALL_TIMING.imagery_len(250.0), subject.n_samples
+        # Windows clipped by the recording's start and end by different amounts,
+        # between full ones: each trial reuses the buffers of the one before.
+        extra = [EventMarker(0, 1), EventMarker(spec.settle_len // 3, 2),
+                 EventMarker(end - t_len - spec.settle_len // 2, 3), EventMarker(end - t_len, 4)]
+        markers = sorted(subject.markers + extra, key=lambda m: m.sample_index)
+        rec = Recording("clipped", 250.0, subject.layout, subject.data, markers)
+        save_recording(rec, tmp_path / "r.nsr")
         margin = spec.settle_len if stage == "continuous" else 0
         ts = extract_trials(rec, SMALL_TIMING, lambda w: filter_channels(spec, w), margin)
         expected = cv(ts.trials, cfg.k_folds, cfg.seed, cfg)
-        got = evaluate_recording(rec, cfg, SMALL_TIMING)
-        assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(expected.to_dict(),
-                                                                      sort_keys=True)
+        for source in (rec, open_recording(tmp_path / "r.nsr")):
+            got = evaluate_recording(source, cfg, SMALL_TIMING)
+            assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(expected.to_dict(),
+                                                                          sort_keys=True)
+            scatters, labels = _scatter_stack(source, SMALL_TIMING, spec, margin)
+            np.testing.assert_array_equal(scatters, [trial_scatter(t.samples) for t in ts.trials])
+            np.testing.assert_array_equal(labels, [t.label for t in ts.trials])
 
     def test_recording_without_trials_rejected(self):
         rec = Recording("none", 250.0, ChannelLayout.generic(4), np.zeros((4, 2000)))
@@ -237,6 +258,38 @@ def test_memory_grows_with_the_scatters_not_the_trials():
             tracemalloc.stop()
     trial_bytes = 16 * round(timing.imagery_s * 250.0) * 4
     assert peak[4] - peak[1] < 0.5 * (3 * n) * trial_bytes
+
+
+#: Run in a fresh interpreter: the minor page faults of one ``evaluate_recording`` call.
+_FAULT_COUNT = textwrap.dedent("""
+    import resource, sys
+    from swarmbci.config import RunConfig
+    from swarmbci.evaluate import evaluate_recording
+    from swarmbci.recording import ParadigmTiming, open_recording
+    rec = open_recording(sys.argv[1])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evaluate_recording(rec, RunConfig(), ParadigmTiming(0.1, 0.1, 0.1, 4.0))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+def test_trial_windows_do_not_fault_their_pages_in_again(tmp_path):
+    # A 64 ch, 1 kHz trial window with its continuous-stage margin is ~64 x 5,470
+    # samples, ~690 pages as float64. Window arrays allocated afresh for each trial
+    # land on new pages each time (~3,000 faults per trial); buffers reused over
+    # the trials fault their pages in once.
+    timing = ParadigmTiming(0.1, 0.1, 0.1, 4.0)
+    rec = generate_subject(SynthConfig(n_channels=64, fs_hz=1000.0, trials_per_class=6,
+                                       timing=timing, separability=0.9, seed=6))
+    path = tmp_path / "s.nsr"
+    save_recording(rec, path)
+    del rec
+    src = str(Path(swarmbci.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FAULT_COUNT, str(path)], capture_output=True,
+                          text=True, timeout=300, check=True, env={**os.environ, "PYTHONPATH": src})
+    faults_per_trial = int(proc.stdout) / 24
+    assert faults_per_trial < 700, f"{faults_per_trial:.0f} minor page faults per trial"
 
 
 class TestSummarizeGroup:
