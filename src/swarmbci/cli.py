@@ -14,7 +14,7 @@ from functools import partial
 from pathlib import Path
 
 import swarmbci
-from swarmbci.config import RunConfig, dataclass_from_dict, json_type_matches, load_config_file
+from swarmbci.config import RunConfig, dataclass_from_dict, json_type_matches
 from swarmbci.evaluate import CvResult, evaluate_recording, summarize_group
 from swarmbci.recording import ParadigmTiming, open_recording, save_recording
 from swarmbci.swarm import (
@@ -56,18 +56,43 @@ def _write_text_atomic(path: Path, text: str) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON of ``obj``; a dataclass in it is written as its fields."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=dataclasses.asdict)
+    return text + "\n"
 
 
-def _load_sections(config_path) -> dict:
-    return load_config_file(config_path) if config_path else {}
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # also a file that is not UTF-8
+            raise ValueError(f"{path}: malformed JSON: {exc}") from exc
+
+
+@dataclasses.dataclass(frozen=True)
+class Config:
+    """The sections of a ``--config`` file; each command reads the ones it uses."""
+
+    run: RunConfig = dataclasses.field(default_factory=RunConfig)
+    synth: SynthConfig = dataclasses.field(default_factory=SynthConfig)
+    swarm: SwarmConfig = dataclasses.field(default_factory=SwarmConfig)
+    timing: ParadigmTiming = dataclasses.field(default_factory=ParadigmTiming)
+
+
+def load_config(args) -> Config:
+    """The sections of the ``--config`` file, defaults without one; ``--seed`` sets every seed."""
+    cfg = Config()
+    if args.config:
+        cfg = dataclass_from_dict(Config, _read_json(args.config), "", args.config)
+    if args.seed is not None:
+        run, synth, swarm = (dataclasses.replace(section, seed=args.seed)
+                             for section in (cfg.run, cfg.synth, cfg.swarm))
+        cfg = Config(run, synth, swarm, cfg.timing)
+    return cfg
 
 
 def cmd_synth(args) -> int:
-    sections = _load_sections(args.config)
-    base = dataclass_from_dict(SynthConfig, sections.get("synth", {}), "synth")
-    if args.seed is not None:
-        base = dataclasses.replace(base, seed=args.seed)
+    base = load_config(args).synth
     if args.subjects < 1:
         raise ValueError("--subjects must be >= 1")
     out = Path(args.out)
@@ -87,15 +112,10 @@ def cmd_synth(args) -> int:
             "separability": cfg.separability,
             "sha256": digest,
         })
-    manifest = {"subjects": entries, "n_subjects": args.subjects}
-    text = _dump_json(manifest)
+    text = _dump_json({"subjects": entries, "n_subjects": args.subjects})
     _write_text_atomic(out / "synth_manifest.json", text)
     sys.stdout.write(text)
     return 0
-
-
-def _timing_from_sections(sections: dict) -> ParadigmTiming:
-    return dataclass_from_dict(ParadigmTiming, sections.get("timing", {}), "timing")
 
 
 def _evaluate_one(path: str, config: RunConfig, timing: ParadigmTiming) -> tuple[str, CvResult]:
@@ -126,17 +146,12 @@ def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
 def cmd_evaluate(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    sections = _load_sections(args.config)
-    config = RunConfig.from_dict(sections.get("run", {}))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-
-    results = _run_evaluation(args.nsr, config, _timing_from_sections(sections), args.jobs)
+    cfg = load_config(args)
+    results = _run_evaluation(args.nsr, cfg.run, cfg.timing, args.jobs)
     summary = summarize_group(results)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    text = _dump_json(summary.to_dict())
-    _write_text_atomic(out, text)
+    _write_text_atomic(out, _dump_json(summary))
     sys.stdout.write(
         f"grand_mean={summary.grand_mean:.4f} grand_std={summary.grand_std:.4f} "
         f"subjects={len(results)}\n"
@@ -167,7 +182,7 @@ def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:
             "steps": steps,
             "converged": converged(state),
             "trajectory_file": fname,
-            "metrics": metrics(state, swarm_cfg).to_dict(),
+            "metrics": metrics(state, swarm_cfg),
         })
     _write_text_atomic(out / "metrics.json", _dump_json({"timeline": timeline}))
     files.append("metrics.json")
@@ -180,11 +195,7 @@ def _sequence_from_args(args) -> list[int]:
     if args.sequence:
         return [int(tok) for tok in args.sequence.replace(" ", "").split(",") if tok]
     if args.predictions:
-        with open(args.predictions, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:  # also a file that is not UTF-8
-                raise ValueError(f"{args.predictions}: malformed JSON: {exc}") from exc
+        doc = _read_json(args.predictions)
         labels = doc.get("predicted_labels") if isinstance(doc, dict) else None
         if not json_type_matches(labels, (0,)):
             raise ValueError(
@@ -194,10 +205,7 @@ def _sequence_from_args(args) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
-    sections = _load_sections(args.config)
-    swarm_cfg = dataclass_from_dict(SwarmConfig, sections.get("swarm", {}), "swarm")
-    if args.seed is not None:
-        swarm_cfg = dataclasses.replace(swarm_cfg, seed=args.seed)
+    swarm_cfg = load_config(args).swarm
     codes = _sequence_from_args(args)
     if not codes:
         raise ValueError("behavior sequence must be nonempty")
@@ -206,19 +214,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    sections = _load_sections(args.config)
-    run_config = RunConfig.from_dict(sections.get("run", {}))
-    swarm_cfg = dataclass_from_dict(SwarmConfig, sections.get("swarm", {}), "swarm")
-    if args.seed is not None:
-        run_config = dataclasses.replace(run_config, seed=args.seed)
-        swarm_cfg = dataclasses.replace(swarm_cfg, seed=args.seed)
+    cfg = load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rec = open_recording(args.nsr)
-    result = evaluate_recording(rec, run_config, _timing_from_sections(sections))
+    result = evaluate_recording(rec, cfg.run, cfg.timing)
     files = ["cv_result.json", "predictions_fold0.json"]
-    _write_text_atomic(out / "cv_result.json", _dump_json(result.to_dict()))
+    _write_text_atomic(out / "cv_result.json", _dump_json(result))
 
     fold0 = [result.predicted_labels[i]
              for i, f in enumerate(result.fold_of_trial) if f == 0]
@@ -231,19 +234,16 @@ def cmd_pipeline(args) -> int:
     _write_text_atomic(out / "predictions_fold0.json", _dump_json(predictions))
 
     sim_dir = out / "simulation"
-    sim_files = _simulate_sequence(fold0, swarm_cfg, sim_dir)
+    sim_files = _simulate_sequence(fold0, cfg.swarm, sim_dir)
     files.extend(f"simulation/{f}" for f in sim_files)
 
     manifest = {
         "created_at": datetime.now(timezone.utc).isoformat(),
         "version": swarmbci.__version__,
         "subject_id": rec.subject_id,
-        "config_fingerprint": run_config.fingerprint,
-        "run_config": run_config.to_dict(),
-        "swarm_config": {
-            **dataclasses.asdict(swarm_cfg),
-            "arena": list(swarm_cfg.arena),
-        },
+        "config_fingerprint": cfg.run.fingerprint,
+        "run_config": cfg.run,
+        "swarm_config": cfg.swarm,
         "files": sorted(files),
     }
     _write_text_atomic(out / "manifest.json", _dump_json(manifest))

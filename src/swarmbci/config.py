@@ -1,11 +1,12 @@
-"""Run configuration, JSON config files, and config fingerprinting."""
+"""Run configuration, strict parsing of JSON config objects, and config fingerprinting."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 
 @dataclass(frozen=True)
@@ -39,51 +40,42 @@ class RunConfig:
         if self.log_variance_mode not in ("plain", "normalized"):
             raise ValueError("log_variance_mode must be 'plain' or 'normalized'")
 
-    def to_dict(self) -> dict:
-        return {
-            "band": list(self.band),
-            "filter_order": self.filter_order,
-            "n_pairs": self.n_pairs,
-            "shrinkage": self.shrinkage,
-            "k_folds": self.k_folds,
-            "seed": self.seed,
-            "filter_stage": self.filter_stage,
-            "log_variance_mode": self.log_variance_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return dataclass_from_dict(cls, d, "run")
-
     @property
     def fingerprint(self) -> str:
         """Stable hash of the canonicalized config."""
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canon = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def dataclass_from_dict(cls, d: dict, what: str):
-    """``cls(**d)`` from a JSON object, rejecting unknown keys and mistyped values.
+def dataclass_from_dict(cls, d, what: str, source: str = ""):
+    """``cls(**d)`` from a JSON object, rejecting unknown keys and mistyped or non-finite values.
 
     A value must have the JSON type of its field's default: a list for a
     tuple (converted to one), an object for a nested dataclass (parsed by
     this function), an int or a float for a float, and the very type
-    otherwise, so a bool never passes for a number.
+    otherwise, so a bool never passes for a number. Every float must be
+    finite. Errors name a key ``what.key`` (``key`` if ``what`` is empty),
+    and ``d`` itself by ``what`` or else ``source``.
     """
+    if not isinstance(d, dict):
+        raise ValueError(f"{what or source} must be a JSON object, got {type(d).__name__}")
     by_name = {f.name: f for f in fields(cls)}
     unknown = set(d) - set(by_name)
     if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ValueError(f"{what or source}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in d.items():
-        f = by_name[key]
+        f, name = by_name[key], f"{what}.{key}" if what else key
         default = f.default if f.default is not MISSING else f.default_factory()
-        if is_dataclass(default) and isinstance(value, dict):
-            value = dataclass_from_dict(type(default), value, f"{what}.{key}")
+        if is_dataclass(default):
+            value = dataclass_from_dict(type(default), value, name)
         elif isinstance(default, tuple) and isinstance(value, list):
             value = tuple(value)
         if not json_type_matches(value, default):
-            raise ValueError(f"{what}.{key} must be {type(default).__name__}, got {value!r}")
+            raise ValueError(f"{name} must be {type(default).__name__}, got {value!r}")
+        if any(type(v) is float and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{name} must be finite, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -96,23 +88,3 @@ def json_type_matches(value, default) -> bool:
     if isinstance(default, float):  # and an int only if a float can hold it
         return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
     return type(value) is type(default)
-
-
-def load_config_file(path) -> dict:
-    """Parse a JSON config document with optional run/synth/swarm/timing sections.
-
-    Unknown top-level keys are an error so typos fail loudly; section
-    contents are validated by their home dataclasses.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    allowed = {"run", "synth", "swarm", "timing"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"{path}: unknown config sections: {sorted(unknown)}")
-    for key in allowed:
-        if key in doc and not isinstance(doc[key], dict):
-            raise ValueError(f"{path}: section {key!r} must be a JSON object")
-    return doc

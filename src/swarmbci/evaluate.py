@@ -32,25 +32,12 @@ class CvResult:
     per_fold_accuracy: list[float]
     mean_accuracy: float
     std_accuracy: float
-    confusion: np.ndarray  # 4x4, rows true, columns predicted
+    confusion: list[list[int]]  # 4x4, rows true, columns predicted
     seed: int
     config_fingerprint: str
     predicted_labels: list[int] = field(default_factory=list)
     true_labels: list[int] = field(default_factory=list)
     fold_of_trial: list[int] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "per_fold_accuracy": [float(a) for a in self.per_fold_accuracy],
-            "mean_accuracy": float(self.mean_accuracy),
-            "std_accuracy": float(self.std_accuracy),
-            "confusion": [[int(v) for v in row] for row in self.confusion],
-            "seed": self.seed,
-            "config_fingerprint": self.config_fingerprint,
-            "predicted_labels": list(self.predicted_labels),
-            "true_labels": list(self.true_labels),
-            "fold_of_trial": list(self.fold_of_trial),
-        }
 
 
 @dataclass
@@ -60,13 +47,6 @@ class GroupSummary:
     per_subject: dict[str, CvResult]
     grand_mean: float
     grand_std: float  # population std across subject means
-
-    def to_dict(self) -> dict:
-        return {
-            "per_subject": {s: r.to_dict() for s, r in sorted(self.per_subject.items())},
-            "grand_mean": float(self.grand_mean),
-            "grand_std": float(self.grand_std),
-        }
 
 
 def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
@@ -129,7 +109,7 @@ def cross_validate(scatters: np.ndarray, labels, n_samples: int, k: int, seed: i
         per_fold_accuracy=per_fold_accuracy,
         mean_accuracy=mean,
         std_accuracy=std,
-        confusion=confusion,
+        confusion=confusion.tolist(),
         seed=seed,
         config_fingerprint=config.fingerprint,
         predicted_labels=predicted,

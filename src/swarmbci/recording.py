@@ -347,6 +347,8 @@ def open_recording(path) -> RecordingFile:
     try:
         fs, notch = float(fs), None if notch is None else float(notch)
         _check_sampling_rate(fs)
+        if not (notch is None or math.isfinite(notch)):
+            raise ValueError(f"notch_hz must be finite, got {notch}")
         _check_markers(markers, n_samples)
         return RecordingFile(str(path), subject_id, fs, ChannelLayout(tuple(channels)),
                              tuple(markers), notch, n_samples, offset)

@@ -73,14 +73,6 @@ class SwarmMetrics:
     cluster_count: int
     cluster_gap: float
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_centroid_dist": float(self.mean_centroid_dist),
-            "mean_nn_dist": float(self.mean_nn_dist),
-            "cluster_count": int(self.cluster_count),
-            "cluster_gap": float(self.cluster_gap),
-        }
-
 
 def behavior_name(code: int) -> str:
     if code not in EVENT_NAMES:

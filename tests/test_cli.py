@@ -96,7 +96,7 @@ class TestEvaluate:
                      "--config", config_path, "--out", str(out), "--jobs", "2"]) == 0
         summary = read_json(out)
         assert sorted(summary["per_subject"]) == ["subject01", "subject02"]
-        expected = RunConfig.from_dict(SMALL_CONFIG["run"]).fingerprint
+        expected = RunConfig(**SMALL_CONFIG["run"]).fingerprint
         for result in summary["per_subject"].values():
             assert result["config_fingerprint"] == expected
 
@@ -361,10 +361,18 @@ class TestConfigHandling:
          "swarm.n_drones"),
         (["synth", "--out", "data"], {"synth": {"timing": {"cue_s": True}}}, "synth.timing.cue_s"),
         (["synth", "--out", "data"], {"synth": {"fs_hz": 10 ** 400}}, "synth.fs_hz"),
-    ], ids=["evaluate", "simulate", "synth", "synth-int-beyond-float"])
+        (["simulate", "--out", "sim", "--sequence", "3"],
+         '{"swarm": {"arena": [0, Infinity, 0, 100]}}', "swarm.arena"),
+        (["evaluate", "missing.nsr", "--out", "s.json"], '{"timing": {"rest_s": NaN}}',
+         "timing.rest_s"),
+        (["synth", "--out", "data"], '{"synth": {"timing": {"cue_s": -1e400}}}',
+         "synth.timing.cue_s"),
+        (["simulate", "--out", "sim", "--sequence", "1"], {"swarm": [4]}, "swarm"),
+    ], ids=["evaluate", "simulate", "synth", "synth-int-beyond-float", "infinite-arena",
+            "nan-timing", "overflowing-float", "section-not-an-object"])
     def test_wrong_value_type_is_an_error_not_a_traceback(self, tmp_path, command, doc, key):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(doc))
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-m", "swarmbci.cli", *command, "--config", str(cfg)],
                               cwd=tmp_path, capture_output=True, text=True, timeout=120,
@@ -373,6 +381,27 @@ class TestConfigHandling:
         assert f"error: {key} must be" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "sim").exists() and not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("text", [
+        "{", b"\xff\xfe{}", "[]", json.dumps({"runn": {}}),
+    ], ids=["truncated", "not-utf8", "not-an-object", "unknown-section"])
+    def test_bad_config_file_named(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"),
+                     "--sequence", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}")
+        assert not (tmp_path / "sim").exists()
+
+    def test_seed_flag_sets_every_seeded_section(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        loaded = cli.load_config(cli.build_parser().parse_args(
+            ["simulate", "--config", str(cfg), "--out", "o", "--seed", "7"]))
+        assert (loaded.run.seed, loaded.synth.seed, loaded.swarm.seed) == (7, 7, 7)
+        assert loaded.run.n_pairs == 2 and loaded.timing.imagery_s == 2.0
+        assert loaded.synth.n_channels == 12 and loaded.swarm.n_drones == 12
 
     def test_int_accepted_for_a_float_field(self, tmp_path):
         cfg = tmp_path / "ok.json"

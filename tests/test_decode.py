@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swarmbci.config import RunConfig
-from swarmbci.csp import CspModel, trial_scatter
+from swarmbci.csp import CspModel, fit_csp_matrices, trace_normalized, trial_scatter
 from swarmbci.decode import DecoderModel, LdaModel, fit_decoder, fit_lda, predict
 from swarmbci.recording import ParadigmTiming, extract_trials
 from swarmbci.synth import SynthConfig, generate_subject
@@ -167,6 +167,20 @@ class TestFitDecoder:
         m1, m2 = fit_trials(ts.trials), fit_trials(ts.trials)
         probe = ts.trials[0]
         assert predict_trial(m1, probe) == predict_trial(m2, probe)
+
+    def test_class_means_equal_masked_numpy_means_bit_for_bit(self):
+        """The CSP of each class is fit on ``np.mean(..., where=)`` class means, exactly."""
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((90, 6, 40))
+        scatters = np.einsum("nct,ndt->ncd", x, x)
+        labels = rng.permutation(np.arange(90) % 4 + 1)
+        model = fit_decoder(scatters, labels, 40, RunConfig(n_pairs=2))
+        normalized = trace_normalized(scatters)
+        for code in (1, 2, 3, 4):
+            pos = (labels == code)[:, None, None]
+            expected = fit_csp_matrices(np.mean(normalized, axis=0, where=pos),
+                                        np.mean(normalized, axis=0, where=~pos), 2)
+            np.testing.assert_array_equal(model.per_class[code][0].w, expected.w)
 
 
 class TestPredict:

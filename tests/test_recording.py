@@ -262,6 +262,8 @@ class TestBadFiles:
         ("sampling_rate_hz", -250.0, "positive"),
         ("sampling_rate_hz", float("nan"), "finite"),
         ("sampling_rate_hz", float("inf"), "finite"),
+        ("notch_hz", float("nan"), "notch_hz must be finite"),
+        ("notch_hz", float("-inf"), "notch_hz must be finite"),
         # Values of the wrong JSON type are rejected, not coerced.
         ("sampling_rate_hz", True, "sampling_rate_hz has the wrong type"),
         ("sampling_rate_hz", "250", "sampling_rate_hz has the wrong type"),
