@@ -262,8 +262,6 @@ class TestBadFiles:
         ("sampling_rate_hz", -250.0, "positive"),
         ("sampling_rate_hz", float("nan"), "finite"),
         ("sampling_rate_hz", float("inf"), "finite"),
-        ("notch_hz", float("nan"), "notch_hz must be finite"),
-        ("notch_hz", float("-inf"), "notch_hz must be finite"),
         # Values of the wrong JSON type are rejected, not coerced.
         ("sampling_rate_hz", True, "sampling_rate_hz has the wrong type"),
         ("sampling_rate_hz", "250", "sampling_rate_hz has the wrong type"),
@@ -282,6 +280,8 @@ class TestBadFiles:
         ("markers", [[10, 1], [120, 2, 0]], "malformed marker 1"),
         pytest.param("sampling_rate_hz", 10 ** 400, "sampling_rate_hz has the wrong type",
                      id="sampling_rate_hz-int-beyond-float"),
+        ("notch_hz", float("nan"), "notch_hz must be finite"),
+        ("notch_hz", float("-inf"), "notch_hz must be finite"),
     ])
     def test_invalid_field(self, reader, good, field, value, message):
         header, payload = _split_nsr(good)
