@@ -128,6 +128,10 @@ def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
     results: dict[str, CvResult] = {}
     # A fork-started pool forks all its workers at the first submit: no more than files.
     workers = min(jobs, len(paths))
+    if workers > 1:
+        # Imported once before the fork, its pages are shared by the workers;
+        # imported in each worker, every worker faults in a copy of its own.
+        import scipy.signal  # noqa: F401
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         calls = [pool.submit(_evaluate_one, str(p), config, timing).result if workers > 1

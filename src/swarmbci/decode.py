@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from swarmbci.config import RunConfig
 from swarmbci.csp import CspModel, features_from_scatter, fit_csp_matrices, trace_normalized
@@ -67,6 +66,8 @@ def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float) -> LdaModel:
     neg_c = neg - mu_neg
     sigma = (pos_c.T @ pos_c + neg_c.T @ neg_c) / (n_pos + n_neg)
     sigma = (1.0 - shrinkage) * sigma + shrinkage * (np.trace(sigma) / d) * np.eye(d)
+
+    from scipy.linalg import cho_factor, cho_solve  # here, so `simulate` never loads SciPy
 
     try:
         factor = cho_factor(sigma, lower=True)

@@ -3,7 +3,9 @@
 Designs come from scipy (Butterworth bandpass via bilinear transform
 with prewarped band edges, as a cascade of second-order sections); the
 frequency response evaluator below is an independent direct evaluation
-of H(e^{jw}) used to verify the designs.
+of H(e^{jw}) used to verify the designs. ``scipy.signal`` is imported by
+the functions that use it, so a command that filters nothing (``simulate``)
+does not pay for its import.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
 
 #: Relative size a filter transient may keep after :attr:`FilterSpec.settle_len`.
 SETTLE_TOL = 1e-8
@@ -37,7 +38,9 @@ class FilterSpec:
         max_mag = float(np.max(np.abs(self.poles)))
         if max_mag >= 1.0:
             raise ValueError(f"unstable filter: pole magnitude {max_mag:.6g} >= 1")
-        object.__setattr__(self, "zi", signal.sosfilt_zi(sos))
+        from scipy.signal import sosfilt_zi
+
+        object.__setattr__(self, "zi", sosfilt_zi(sos))
 
     @property
     def poles(self) -> np.ndarray:
@@ -75,7 +78,9 @@ def design_bandpass(low_hz: float, high_hz: float, order: int, fs: float) -> Fil
         )
     if order < 1:
         raise ValueError("order must be >= 1")
-    sos = signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
+    from scipy.signal import butter
+
+    sos = butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
     return FilterSpec(sos, f"butter{order}-bandpass-{low_hz:g}-{high_hz:g}@{fs:g}")
 
 
@@ -104,6 +109,8 @@ def filter_channels(spec: FilterSpec, data: np.ndarray,
     whose pages a caller filtering many windows can keep. The result is
     float32 for float32 ``data`` without ``out``, else float64.
     """
+    from scipy.signal import sosfilt
+
     data = np.asarray(data)
     if data.ndim not in (1, 2):
         raise ValueError(f"filter_channels expects a 1-D or 2-D array, got ndim={data.ndim}")
@@ -123,7 +130,7 @@ def filter_channels(spec: FilterSpec, data: np.ndarray,
     np.subtract(2 * x[..., :1], x[..., pad:0:-1], out=ext[..., :pad])
     np.subtract(2 * x[..., -1:], x[..., -2:-pad - 2:-1], out=ext[..., pad + n:])
     zi = spec.zi.reshape((len(spec.sos),) + (1,) * (x.ndim - 1) + (2,))
-    y, _ = signal.sosfilt(spec.sos, ext, zi=zi * ext[..., :1])
+    y, _ = sosfilt(spec.sos, ext, zi=zi * ext[..., :1])
     # The backward pass reads its reversed input from ``ext``, so the forward
     # pass's output is freed before sosfilt copies that input. With one such
     # copy alive at a time, the allocator can give both passes, and the next
@@ -131,6 +138,6 @@ def filter_channels(spec: FilterSpec, data: np.ndarray,
     # together and faulted in afresh for every window.
     np.copyto(ext, y[..., ::-1])
     del y
-    y, _ = signal.sosfilt(spec.sos, ext, zi=zi * ext[..., :1])
+    y, _ = sosfilt(spec.sos, ext, zi=zi * ext[..., :1])
     y = y[..., ::-1][..., pad:-pad]
     return y.astype(np.float32) if data.dtype == np.float32 and out is None else y

@@ -50,6 +50,11 @@ def _check_sampling_rate(fs: float) -> None:
         raise ValueError(f"sampling_rate_hz must be positive and finite, got {fs}")
 
 
+def _check_notch(notch: float | None) -> None:
+    if not (notch is None or math.isfinite(notch)):
+        raise ValueError(f"notch_hz must be finite, got {notch}")
+
+
 def _check_markers(markers, n_samples: int) -> None:
     idx = [m.sample_index for m in markers]
     for i, s in enumerate(idx):
@@ -143,6 +148,7 @@ class Recording:
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
         _check_sampling_rate(self.sampling_rate_hz)
+        _check_notch(self.notch_applied_hz)
         if self.data.ndim != 2:
             raise ValueError(f"data must be 2-D (channels x samples), got ndim={self.data.ndim}")
         if self.data.shape[0] != self.layout.count:
@@ -347,8 +353,7 @@ def open_recording(path) -> RecordingFile:
     try:
         fs, notch = float(fs), None if notch is None else float(notch)
         _check_sampling_rate(fs)
-        if not (notch is None or math.isfinite(notch)):
-            raise ValueError(f"notch_hz must be finite, got {notch}")
+        _check_notch(notch)
         _check_markers(markers, n_samples)
         return RecordingFile(str(path), subject_id, fs, ChannelLayout(tuple(channels)),
                              tuple(markers), notch, n_samples, offset)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from swarmbci.recording import EVENT_NAMES
 
@@ -40,6 +39,8 @@ class SwarmConfig:
         xmin, xmax, ymin, ymax = self.arena
         if not (xmin < xmax and ymin < ymax):
             raise ValueError("arena bounds must be nonempty")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.max_speed <= 0:
             raise ValueError("max_speed must be > 0")
         if not (self.d_split > 2 * self.r_aggregate):
@@ -123,6 +124,17 @@ def _packed_disc(n: int, radius: float, min_separation: float) -> np.ndarray:
     return hex_spiral(n, spacing)
 
 
+def _differences(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``b[j] - a[i]`` per axis, and its length, each as a (len(a), len(b)) array.
+
+    The length ``sqrt(dx*dx + dy*dy)`` equals ``np.linalg.norm(b[None] - a[:, None], axis=2)``
+    bit for bit, without the (len(a), len(b), 2) array.
+    """
+    dx = b[:, 0] - a[:, :1]
+    dy = b[:, 1] - a[:, 1:]
+    return dx, dy, np.sqrt(dx * dx + dy * dy)
+
+
 def _assign_slots(positions: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Greedy deterministic matching: each slot takes the nearest free drone.
 
@@ -130,12 +142,27 @@ def _assign_slots(positions: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """
     n = positions.shape[0]
     targets = np.empty_like(positions)
+    dist = _differences(slots, positions)[2]
     free = list(range(n))
-    for slot in slots:
-        d = np.linalg.norm(positions[free] - slot, axis=1)
-        pick = free.pop(int(np.argmin(d)))  # argmin ties break to lowest index
+    for slot, d in zip(slots, dist):
+        pick = free.pop(int(np.argmin(d[free])))  # argmin ties break to lowest index
         targets[pick] = slot
     return targets
+
+
+def _far_from_all(p: np.ndarray, points: np.ndarray, spacing: float) -> bool:
+    """Whether ``np.linalg.norm(p - q) >= spacing`` for every row ``q`` of ``points``.
+
+    One vectorised distance decides, except near ``spacing``: the 1-D norm is a
+    dot product and may round differently, so within 1e-9 (relative) of
+    ``spacing`` the 1-D norms decide.
+    """
+    if len(points) == 0:
+        return True
+    nearest = float(np.min(_differences(p[None], points)[2]))
+    if abs(nearest - spacing) > 1e-9 * spacing:
+        return nearest >= spacing
+    return all(np.linalg.norm(p - q) >= spacing for q in points)
 
 
 def _check_in_arena(points: np.ndarray, cfg: SwarmConfig, what: str) -> None:
@@ -180,17 +207,18 @@ def set_behavior(state: SwarmState, behavior: str, cfg: SwarmConfig,
     elif behavior == "Dispersing":
         rng = np.random.default_rng(seed)
         xmin, xmax, ymin, ymax = cfg.arena
-        chosen: list[np.ndarray] = []
-        attempts = 0
+        chosen = np.empty((n, 2))
+        count = attempts = 0
         limit = 10 * n * n
-        while len(chosen) < n:
+        while count < n:
             attempts += 1
             if attempts > limit:
                 raise ValueError("arena too crowded: dispersing target sampling failed")
             p = np.array([rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)])
-            if all(np.linalg.norm(p - q) >= 2.0 * cfg.min_separation for q in chosen):
-                chosen.append(p)
-        targets = _assign_slots(pos, np.asarray(chosen))
+            if _far_from_all(p, chosen[:count], 2.0 * cfg.min_separation):
+                chosen[count] = p
+                count += 1
+        targets = _assign_slots(pos, chosen)
     else:  # Aggregating
         centroid = pos.mean(axis=0)
         slots = _packed_disc(n, cfg.r_aggregate, cfg.min_separation)
@@ -216,19 +244,22 @@ def step(state: SwarmState, cfg: SwarmConfig) -> SwarmState:
     scale = np.where(dist > 0, np.minimum(cfg.max_speed, dist) / np.maximum(dist, 1e-300), 0.0)
     moved = state.positions + delta * scale[:, None]
 
-    diff = moved[None, :, :] - moved[:, None, :]
-    pair_dist = np.linalg.norm(diff, axis=2)
+    dx, dy, pair_dist = _differences(moved, moved)
+    ii, jj = np.nonzero(pair_dist < cfg.min_separation)
+    upper = ii < jj  # pairs in row-major order, as a loop over i < j visits them
+    ii, jj = ii[upper], jj[upper]
+    d = pair_dist[ii, jj]
+    apart = d > 0
+    d_safe = np.where(apart, d, 1.0)
+    push = 0.5 * (cfg.min_separation - d)
     correction = np.zeros_like(moved)
-    ii, jj = np.where(np.triu(pair_dist < cfg.min_separation, k=1))
-    for i, j in zip(ii, jj):
-        d = pair_dist[i, j]
-        if d > 0:
-            direction = diff[i, j] / d
-        else:
-            direction = np.array([1.0, 0.0])  # coincident pair: split along +x
-        push = 0.5 * (cfg.min_separation - d)
-        correction[i] -= direction * push
-        correction[j] += direction * push
+    # A coincident pair splits along +x. Each drone's pushes add up in pair order:
+    # first those of the pairs whose higher index it is (rows above its own), then
+    # those of its own row, so every sum is rounded as in that loop.
+    for axis, unit in enumerate((np.where(apart, dx[ii, jj] / d_safe, 1.0),
+                                 np.where(apart, dy[ii, jj] / d_safe, 0.0))):
+        np.add.at(correction[:, axis], jj, unit * push)
+        np.subtract.at(correction[:, axis], ii, unit * push)
     moved = moved + correction
 
     xmin, xmax, ymin, ymax = cfg.arena
@@ -261,9 +292,19 @@ def run_until_converged(state: SwarmState, cfg: SwarmConfig
 
 def _clusters_single_linkage(points: np.ndarray, cut: float) -> list[np.ndarray]:
     """Connected components of the pairwise graph with edges <= cut, ordered by first member."""
-    dist = np.linalg.norm(points[None, :, :] - points[:, None, :], axis=2)
-    n_clusters, labels = connected_components(dist <= cut, directed=False)
-    return [np.flatnonzero(labels == k) for k in range(n_clusters)]
+    linked = _differences(points, points)[2] <= cut
+    np.fill_diagonal(linked, True)
+    # Each point takes the smallest label among its neighbours, then its label's
+    # label, until nothing changes: every component is then labelled by its first member.
+    labels = np.arange(len(points))
+    while True:
+        merged = np.min(np.where(linked, labels, len(points)), axis=1)
+        merged = merged[merged]
+        if np.array_equal(merged, labels):
+            break
+        labels = merged
+    return [np.flatnonzero(labels == first)
+            for first in np.flatnonzero(labels == np.arange(len(points)))]
 
 
 def metrics(state: SwarmState, cfg: SwarmConfig) -> SwarmMetrics:
@@ -277,7 +318,7 @@ def metrics(state: SwarmState, cfg: SwarmConfig) -> SwarmMetrics:
     centroid = pos.mean(axis=0)
     mean_centroid_dist = float(np.mean(np.linalg.norm(pos - centroid, axis=1)))
 
-    dist = np.linalg.norm(pos[None, :, :] - pos[:, None, :], axis=2)
+    dist = _differences(pos, pos)[2]
     np.fill_diagonal(dist, np.inf)
     mean_nn_dist = float(np.mean(np.min(dist, axis=1)))
 

@@ -257,6 +257,16 @@ class TestSimulate:
         assert code == 1
         assert not out.exists()
 
+    def test_negative_max_steps_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"swarm": {"n_drones": 4, "max_steps": -3}}))
+        out = tmp_path / "sim"
+        code = main(["simulate", "--config", str(config), "--out", str(out), "--sequence", "3,2"])
+        assert code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error:") and "max_steps" in last
+        assert not out.exists()
+
     def test_sequence_and_predictions_conflict(self, tmp_path, config_path, capsys):
         pred = tmp_path / "pred.json"
         pred.write_text(json.dumps({"predicted_labels": [1]}))
@@ -264,6 +274,22 @@ class TestSimulate:
                      "--sequence", "1", "--predictions", str(pred)])
         assert code == 1
         assert "not both" in capsys.readouterr().err
+
+
+#: Run in a fresh interpreter: the scipy modules loaded after the given statement.
+_SCIPY_AFTER = "import sys\n{}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+@pytest.mark.parametrize("statement", [
+    "import swarmbci.cli",
+    "from swarmbci.cli import main\nassert main(['simulate', '--out', 'sim', '--sequence', '4,3,2,1']) == 0",
+], ids=["import-cli", "simulate"])
+def test_simulate_loads_no_scipy(tmp_path, statement):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER.format(statement)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "[]\n"
 
 
 class TestPipeline:

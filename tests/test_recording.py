@@ -355,6 +355,18 @@ class TestRecordingInvariants:
         with pytest.raises(ValueError, match="positive and finite"):
             make_recording(fs=fs)
 
+    @pytest.mark.parametrize("notch", [float("nan"), float("inf"), float("-inf")])
+    def test_notch_must_be_finite_on_write(self, notch, tmp_path):
+        # The reader refuses such a header, so the writer must not make one.
+        with pytest.raises(ValueError, match="notch_hz must be finite"):
+            Recording("x", 250.0, ChannelLayout.generic(2), np.zeros((2, 10)), [], notch)
+        rec = make_recording()
+        rec.notch_applied_hz = notch
+        path = tmp_path / "r.nsr"
+        with pytest.raises(ValueError, match="notch_hz must be finite"):
+            save_recording(rec, path)
+        assert not path.exists()
+
     def test_default_layout_has_64_channels(self):
         assert ChannelLayout.default_64().count == 64
 

@@ -5,6 +5,8 @@ from swarmbci.swarm import (
     SwarmConfig,
     SwarmState,
     _clusters_single_linkage,
+    _differences,
+    _far_from_all,
     behavior_name,
     converged,
     hex_spiral,
@@ -174,6 +176,142 @@ class TestStep:
                                    step(s, cfg).positions[perm], atol=1e-12)
 
 
+def reference_step(state, cfg):
+    """The pair-loop step that :func:`step` replaced, kept to compare against."""
+    delta = state.targets - state.positions
+    dist = np.linalg.norm(delta, axis=1)
+    scale = np.where(dist > 0, np.minimum(cfg.max_speed, dist) / np.maximum(dist, 1e-300), 0.0)
+    moved = state.positions + delta * scale[:, None]
+
+    diff = moved[None, :, :] - moved[:, None, :]
+    pair_dist = np.linalg.norm(diff, axis=2)
+    correction = np.zeros_like(moved)
+    ii, jj = np.where(np.triu(pair_dist < cfg.min_separation, k=1))
+    for i, j in zip(ii, jj):
+        d = pair_dist[i, j]
+        if d > 0:
+            direction = diff[i, j] / d
+        else:
+            direction = np.array([1.0, 0.0])
+        push = 0.5 * (cfg.min_separation - d)
+        correction[i] -= direction * push
+        correction[j] += direction * push
+    moved = moved + correction
+
+    xmin, xmax, ymin, ymax = cfg.arena
+    moved[:, 0] = np.clip(moved[:, 0], xmin, xmax)
+    moved[:, 1] = np.clip(moved[:, 1], ymin, ymax)
+    return moved
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def crowded_states():
+    """Seeded (state, config) pairs with many close pairs, coincident ones and chains."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = (5, 50, 120)[seed % 3]
+        cfg = SwarmConfig(n_drones=n, arena=(0.0, 40.0, 0.0, 40.0), min_separation=1.5,
+                          max_speed=(0.5, 1.0, 3.0)[seed % 3])
+        side = np.sqrt(n) * (0.5, 1.0, 2.0)[seed // 4]
+        pos = 20.0 + rng.uniform(-side / 2, side / 2, (n, 2))
+        pos[1::7] = pos[0::7][:len(pos[1::7])]  # coincident pairs
+        if n >= 50:
+            pos[10:20] = [[5.0 + 0.4 * k, 5.0 + 0.1 * k] for k in range(10)]  # an overlap chain
+        pos[-1] = [0.0, 40.0]  # a corner, where the clip acts
+        targets = 20.0 + rng.uniform(-side, side, (n, 2))
+        yield SwarmState(pos, pos.copy(), targets, "Hovering"), cfg
+
+
+class TestVectorisedGeometry:
+    def test_differences_equal_the_norm_bit_for_bit(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            a = rng.uniform(-1, 1, (rng.integers(1, 40), 2)) * 10.0 ** rng.integers(-3, 4)
+            b = rng.uniform(-1, 1, (rng.integers(1, 40), 2)) * 10.0 ** rng.integers(-3, 4)
+            dx, dy, dist = _differences(a, b)
+            expected = b[None, :, :] - a[:, None, :]
+            assert np.array_equal(bits(dx), bits(expected[..., 0]))
+            assert np.array_equal(bits(dy), bits(expected[..., 1]))
+            assert np.array_equal(bits(dist), bits(np.linalg.norm(expected, axis=2)))
+
+    def test_step_equals_the_pair_loop_bit_for_bit(self):
+        close_pairs = 0
+        for state, cfg in crowded_states():
+            for _ in range(15):
+                expected = reference_step(state, cfg)
+                state = step(state, cfg)
+                assert np.array_equal(bits(state.positions), bits(expected))
+                close_pairs += int(np.sum(np.triu(
+                    _differences(state.positions, state.positions)[2] < cfg.min_separation, 1)))
+        assert close_pairs > 1000  # the states kept overlapping pairs to correct
+
+    def test_coincident_pairs_equal_the_pair_loop(self):
+        cfg = SwarmConfig(n_drones=4)
+        pos = np.array([[50.0, 50.0]] * 3 + [[50.2, 50.0]])
+        s = SwarmState(pos, pos.copy(), pos.copy(), "Hovering")
+        assert np.array_equal(bits(step(s, cfg).positions), bits(reference_step(s, cfg)))
+
+    def test_clusters_equal_connected_components_in_order(self):
+        from scipy.sparse.csgraph import connected_components
+
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 80))
+            points = rng.uniform(0, 30, (n, 2))
+            if seed % 3 == 0:  # a chain whose labels must travel its whole length
+                k = np.arange(n // 2)[::-1]
+                points[: n // 2] = np.column_stack([0.9 * k, 0.5 * (k % 2)])
+            cut = float(rng.choice([0.5, 2.0, 4.0, 8.0]))
+            dist = np.linalg.norm(points[None] - points[:, None], axis=2)
+            count, labels = connected_components(dist <= cut, directed=False)
+            expected = [np.flatnonzero(labels == k) for k in range(count)]
+            got = _clusters_single_linkage(points, cut)
+            assert len(got) == len(expected)
+            for g, e in zip(got, expected):
+                np.testing.assert_array_equal(g, e)
+
+    def test_dispersing_check_decides_as_the_loop_at_the_spacing(self):
+        def loop(p, points, spacing):
+            return all(np.linalg.norm(p - q) >= spacing for q in points)
+
+        rng = np.random.default_rng(5)
+        cases = []
+        points = np.array([[10.0, 10.0], [30.0, 30.0]])
+        cases.append((np.array([12.0, 10.0]), points))  # exactly 2.0 from the first point
+        # Pairs whose 1-D norm (a dot product) rounds away from the vectorised one.
+        while len(cases) < 40:
+            p, q = rng.uniform(0, 100, 2), rng.uniform(0, 100, 2)
+            if np.linalg.norm(p - q) != _differences(p[None], q[None])[2][0, 0]:
+                cases.append((p, np.array([q, q + 50.0])))
+        for p, points in cases:
+            for exact in (np.linalg.norm(p - points[0]), _differences(p[None], points)[2][0, 0]):
+                for spacing in (np.nextafter(exact, 0), exact, np.nextafter(exact, np.inf)):
+                    assert _far_from_all(p, points, spacing) == loop(p, points, spacing)
+        assert _far_from_all(np.array([1.0, 1.0]), np.empty((0, 2)), 2.0)
+
+    def test_dispersing_targets_equal_the_loop(self):
+        def reference_dispersing(state, cfg, seed):
+            rng = np.random.default_rng(seed)
+            xmin, xmax, ymin, ymax = cfg.arena
+            chosen = []
+            while len(chosen) < state.n_drones:
+                p = np.array([rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)])
+                if all(np.linalg.norm(p - q) >= 2.0 * cfg.min_separation for q in chosen):
+                    chosen.append(p)
+            return chosen
+
+        for cfg in (SwarmConfig(), SwarmConfig(n_drones=120, arena=(0.0, 60.0, 0.0, 60.0),
+                                               r_aggregate=8.0, d_split=20.0)):
+            s = init_swarm(cfg)
+            for seed in range(4):
+                targets = set_behavior(s, "Dispersing", cfg, seed=seed).targets
+                chosen = reference_dispersing(s, cfg, seed)
+                assert sorted(map(tuple, targets)) == sorted(map(tuple, chosen))
+
+
 class TestRunUntilConverged:
     def test_hovering_converges_immediately(self, cfg):
         s = set_behavior(init_swarm(cfg), "Hovering", cfg)
@@ -283,3 +421,8 @@ class TestConfigInvariants:
             SwarmConfig(d_split=8.0, r_aggregate=5.0)
         with pytest.raises(ValueError):
             SwarmConfig(min_separation=6.0, r_aggregate=5.0)
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            SwarmConfig(max_steps=-3)
+        assert SwarmConfig(max_steps=0).max_steps == 0
