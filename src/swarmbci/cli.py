@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 import swarmbci
 from swarmbci.config import RunConfig, dataclass_from_dict, json_type_matches
@@ -163,34 +167,58 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+#: Trajectory CSV writes that ``simulate`` lets queue; each holds its trajectory in
+#: this process until the writer has written it.
+_MAX_QUEUED_WRITES = 8
+
+
+def _write_trajectory(trajectory: np.ndarray, path: Path) -> None:
+    """Write one behavior's trajectory CSV atomically; runs in the writer process."""
+    with _atomic_path(path) as tmp:
+        save_trajectory_csv(trajectory, tmp)
+
+
 def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:
-    """Run behaviors in order from the previous final state; returns emitted files."""
-    for code in codes:
-        behavior_name(code)  # validate before any output
+    """Run behaviors in order from the previous final state; returns emitted files.
+
+    One forked writer process writes each trajectory CSV while this process
+    steps the next behavior; ``metrics.json`` is written after every CSV.
+    """
+    names = [behavior_name(code) for code in codes]  # validate before any output
     out.mkdir(parents=True, exist_ok=True)
     state = init_swarm(swarm_cfg)
     timeline = []
-    files = []
-    for idx, code in enumerate(codes):
-        name = behavior_name(code)
-        state = set_behavior(state, name, swarm_cfg, seed=swarm_cfg.seed + idx)
-        state, trajectory, steps = run_until_converged(state, swarm_cfg)
-        fname = f"trajectory_{idx:03d}_{name.lower()}.csv"
-        with _atomic_path(out / fname) as tmp:
-            save_trajectory_csv(trajectory, tmp)
-        files.append(fname)
-        timeline.append({
-            "index": idx,
-            "code": int(code),
-            "behavior": name,
-            "steps": steps,
-            "converged": converged(state),
-            "trajectory_file": fname,
-            "metrics": metrics(state, swarm_cfg),
-        })
+    writes = collections.deque()  # the one writer finishes them in order
+    # The pool forks its writer at the first submit, before it starts any thread.
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork")
+                             ) as writer:
+        try:
+            for idx, (code, name) in enumerate(zip(codes, names)):
+                while writes and (writes[0].done() or len(writes) >= _MAX_QUEUED_WRITES):
+                    writes.popleft().result()
+                try:
+                    state = set_behavior(state, name, swarm_cfg, seed=swarm_cfg.seed + idx)
+                    state, trajectory, steps = run_until_converged(state, swarm_cfg)
+                except ValueError as exc:
+                    raise ValueError(f"behaviour {idx} ({name}): {exc}") from exc
+                fname = f"trajectory_{idx:03d}_{name.lower()}.csv"
+                writes.append(writer.submit(_write_trajectory, np.stack(trajectory), out / fname))
+                timeline.append({
+                    "index": idx,
+                    "code": int(code),
+                    "behavior": name,
+                    "steps": steps,
+                    "converged": converged(state),
+                    "trajectory_file": fname,
+                    "metrics": metrics(state, swarm_cfg),
+                })
+        finally:
+            # Every write has returned before anything is raised, and a failed
+            # write is raised before the error of any later behavior.
+            while writes:
+                writes.popleft().result()
     _write_text_atomic(out / "metrics.json", _dump_json({"timeline": timeline}))
-    files.append("metrics.json")
-    return files
+    return [entry["trajectory_file"] for entry in timeline] + ["metrics.json"]
 
 
 def _sequence_from_args(args) -> list[int]:

@@ -331,8 +331,9 @@ def metrics(state: SwarmState, cfg: SwarmConfig) -> SwarmMetrics:
     return SwarmMetrics(mean_centroid_dist, mean_nn_dist, len(clusters), gap)
 
 
-def save_trajectory_csv(trajectory: list[np.ndarray], path) -> None:
-    """Write snapshots as CSV rows: step,drone_id,x,y.
+def save_trajectory_csv(trajectory: list[np.ndarray] | np.ndarray, path) -> None:
+    """Write snapshots (a list of (n, 2) arrays or one (S, n, 2) array) as CSV rows:
+    step,drone_id,x,y.
 
     Coordinates are Python float reprs (shortest round trip), e.g. ``3,7,48.8,50.69``.
     """

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -41,6 +42,43 @@ def subject_dir(tmp_path, config_path):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+#: sha256 of every output of ``simulate --sequence 4,3,2,1,3,2``, by ``swarm`` config
+#: section. The swarm uses only IEEE elementwise operations, ``sqrt`` and
+#: ``default_rng``, so the digests do not depend on the BLAS.
+SIMULATE_SHA256 = {
+    "default": ({
+        "metrics.json": "616a73dde4d0512fc1395106c5a50ae9c051ea9ff7771a6a6ff2f46e4dde431d",
+        "trajectory_000_aggregating.csv":
+            "fdaf2222bd665433e0e463e1a80586e119c59a421cb8108f956cf7d14f9aa7cc",
+        "trajectory_001_dispersing.csv":
+            "ca6a9bdf9e27fa825e2ebcbcc3fb7e767479cee215c8e761f0e8709882c1af1a",
+        "trajectory_002_splitting.csv":
+            "42eadf2c1bfc605be9af2b705f6fa3d71806bb5110501391958c02cb9d35ca1c",
+        "trajectory_003_hovering.csv":
+            "7214cd00ee1f2b0e49bd1f4e4e44a8b47e2c3926f2954b61307814647ba03eae",
+        "trajectory_004_dispersing.csv":
+            "d2377ecba92df589597d1aa3f282ae9cc93831cd81cb97b11e1882153f48ca70",
+        "trajectory_005_splitting.csv":
+            "e5f01f44b39d8e466b37810e50f066a07b8fd1446e9f2c1fb56c9483d28559e6",
+    }, {}),
+    "crowded-120": ({
+        "metrics.json": "3522ee8cae884e6a532722a9b4bc997c35dfcd2302691814bf90850be7d7743c",
+        "trajectory_000_aggregating.csv":
+            "656b26041e1afc55efda893086440fc8cfe0b8b0081f85743383acdcd2e5799f",
+        "trajectory_001_dispersing.csv":
+            "09f7c9600207eedd6d00043bc4c4033b28f7a87a8a57f44753f7159fd0dfb7e6",
+        "trajectory_002_splitting.csv":
+            "e832228d62d5b3dc32f32c97f2a86e61b23cd1e1c8cbe80b759de65a1e62687a",
+        "trajectory_003_hovering.csv":
+            "d23cbface28c0a3ee709eb9b8422e8dc1a985af17c2b4513201ca021387befda",
+        "trajectory_004_dispersing.csv":
+            "24706b38e456a8ad371e75f7337bdaae5117cd75f428c38f30f459d1aeb365eb",
+        "trajectory_005_splitting.csv":
+            "882b65d7b82b99dc26fd02e8364f4a8ffb8cc3d349ee40d6bde45acde5c479ed",
+    }, {"n_drones": 120, "arena": [0, 60, 0, 60], "r_aggregate": 8.0, "d_split": 20.0}),
+}
 
 
 class TestSynth:
@@ -274,6 +312,79 @@ class TestSimulate:
                      "--sequence", "1", "--predictions", str(pred)])
         assert code == 1
         assert "not both" in capsys.readouterr().err
+
+    def test_failed_behaviour_named(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"swarm": {"n_drones": 12, "arena": [0, 20, 0, 20]}}))
+        out, ok = tmp_path / "sim", tmp_path / "ok"
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--sequence", "1,4,2,1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: behaviour 2 (Splitting): splitting targets fall outside the arena; "
+            "enlarge arena or reduce spacing\n")
+        assert main(["simulate", "--config", str(config), "--out", str(ok),
+                     "--sequence", "1,4"]) == 0
+        written = ["trajectory_000_hovering.csv", "trajectory_001_aggregating.csv"]
+        assert sorted(p.name for p in out.iterdir()) == written
+        for name in written:
+            assert (out / name).read_bytes() == (ok / name).read_bytes(), name
+
+    def test_failed_write_stops_the_run(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        (out / "trajectory_001_aggregating.csv").mkdir(parents=True)
+        assert main(["simulate", "--out", str(out), "--sequence", "1,4,2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+        assert err.endswith(f" -> '{out / 'trajectory_001_aggregating.csv'}'\n")
+        assert not (out / "metrics.json").exists()
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+    def test_one_writer_process_per_run(self, tmp_path, monkeypatch):
+        pids = tmp_path / "pids"
+        save = cli.save_trajectory_csv
+
+        def recording_save(trajectory, path):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            save(trajectory, path)
+
+        monkeypatch.setattr(cli, "save_trajectory_csv", recording_save)
+        assert main(["simulate", "--out", str(tmp_path / "sim"), "--sequence", "4,3,2,1"]) == 0
+        writers = pids.read_text().split()
+        assert len(writers) == 4
+        assert len(set(writers)) == 1
+        assert str(os.getpid()) not in writers
+
+    def test_queued_writes_are_capped(self, tmp_path, monkeypatch):
+        out = tmp_path / "sim"
+        save, run = cli.save_trajectory_csv, cli.run_until_converged
+        written = []  # CSVs in place as each behavior starts to step
+
+        def slow_save(trajectory, path):
+            time.sleep(0.05)
+            save(trajectory, path)
+
+        def counting_run(state, cfg):
+            written.append(len(list(out.glob("trajectory_*.csv"))))
+            return run(state, cfg)
+
+        monkeypatch.setattr(cli, "save_trajectory_csv", slow_save)
+        monkeypatch.setattr(cli, "run_until_converged", counting_run)
+        assert main(["simulate", "--out", str(out), "--sequence", ",".join(["1"] * 12)]) == 0
+        # At most 8 trajectories wait for the writer, so at most 7 before each behavior.
+        assert len(written) == 12
+        assert all(n >= idx - 7 for idx, n in enumerate(written)), written
+
+    @pytest.mark.parametrize("config", sorted(SIMULATE_SHA256))
+    def test_outputs_byte_identical(self, tmp_path, config):
+        digests, swarm = SIMULATE_SHA256[config]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"swarm": swarm}))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out),
+                     "--sequence", "4,3,2,1,3,2"]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == digests
 
 
 #: Run in a fresh interpreter: the scipy modules loaded after the given statement.

@@ -411,6 +411,9 @@ class TestExports:
             divmod(k, cfg.n_drones) for k in range(len(rows))]
         xy = np.array([[float(x), float(y)] for _, _, x, y in rows])
         assert np.array_equal(xy.view(np.uint64), np.concatenate(trajectory).view(np.uint64))
+        stacked = tmp_path / "stacked.csv"
+        save_trajectory_csv(np.stack(trajectory), stacked)
+        assert stacked.read_bytes() == path.read_bytes()
 
 
 class TestConfigInvariants:
