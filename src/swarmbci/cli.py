@@ -170,12 +170,20 @@ def cmd_evaluate(args) -> int:
 #: Trajectory CSV writes that ``simulate`` lets queue; each holds its trajectory in
 #: this process until the writer has written it.
 _MAX_QUEUED_WRITES = 8
+_write_failed = False  # in the writer process: set while a write runs, left set if it fails
 
 
 def _write_trajectory(trajectory: np.ndarray, path: Path) -> None:
-    """Write one behavior's trajectory CSV atomically; runs in the writer process."""
-    with _atomic_path(path) as tmp:
-        save_trajectory_csv(trajectory, tmp)
+    """Write one behavior's trajectory CSV atomically; runs in the writer process.
+
+    The writer runs the writes in order and skips every one after a failed one.
+    """
+    global _write_failed
+    if not _write_failed:
+        _write_failed = True
+        with _atomic_path(path) as tmp:
+            save_trajectory_csv(trajectory, tmp)
+        _write_failed = False
 
 
 def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:

@@ -49,14 +49,6 @@ def trial_scatter(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return xc @ xc.T
 
 
-def trace_normalized(scatters: np.ndarray) -> np.ndarray:
-    """Each scatter matrix of an (n, C, C) stack divided by its trace."""
-    traces = np.trace(scatters, axis1=1, axis2=2)
-    if np.any(traces <= 0):
-        raise ValueError("degenerate trial: zero total variance")
-    return scatters / traces[:, None, None]
-
-
 def fit_csp_matrices(c_pos: np.ndarray, c_neg: np.ndarray,
                      n_pairs: int, ridge: float = 1e-9) -> CspModel:
     """Fit CSP from two class covariance matrices."""
@@ -101,7 +93,9 @@ def features_from_scatter(model: CspModel, scatter: np.ndarray, n_samples: int,
     variances; "normalized" divides by the sum of the selected variances first.
     """
     w_sel = model.w[:, list(model.selected)]
-    variances = np.sum((scatter @ w_sel) * w_sel, axis=-2) / n_samples
+    # In place: two stack-sized temporaries would trim the heap and fault back every call.
+    projected = scatter @ w_sel
+    variances = np.sum(np.multiply(projected, w_sel, out=projected), axis=-2) / n_samples
     if np.any(variances < VARIANCE_FLOOR):
         warnings.warn("zero-variance CSP projection clamped", RuntimeWarning, stacklevel=2)
         variances = np.maximum(variances, VARIANCE_FLOOR)

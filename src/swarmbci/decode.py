@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from swarmbci.config import RunConfig
-from swarmbci.csp import CspModel, features_from_scatter, fit_csp_matrices, trace_normalized
+from swarmbci.csp import CspModel, features_from_scatter, fit_csp_matrices
 from swarmbci.recording import EVENT_CODES
 
 
@@ -84,28 +84,35 @@ def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float) -> LdaModel:
 
 
 def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
-                config: RunConfig) -> DecoderModel:
+                config: RunConfig, train: np.ndarray | None = None) -> DecoderModel:
     """Fit four class-vs-rest (CSP, LDA) pairs from stacked (n, C, C) trial scatters.
 
+    ``train`` masks the rows to fit on (all if None); no part of the stack is copied.
     ``n_samples`` is the trial length the scatters were summed over;
     ``config`` supplies ``n_pairs``, ``shrinkage`` and ``log_variance_mode``.
     """
-    labels = np.asarray(labels)
-    normalized = trace_normalized(scatters)
+    labels, n = np.asarray(labels), len(scatters)
+    train = np.ones(n, dtype=bool) if train is None else np.asarray(train)
+    if train.dtype != bool or train.shape != (n,):
+        raise ValueError(f"train must be a boolean mask of length {n}, got {train.dtype} "
+                         f"of shape {train.shape}")
+    traces = np.trace(scatters, axis1=1, axis2=2)
+    if np.any(degenerate := train & (traces <= 0)):
+        raise ValueError(f"degenerate trial {np.argmax(degenerate)}: zero total variance")
+    is_pos = labels[:, None] == np.array(EVENT_CODES)  # (n, class)
+    # Summed row by row, the trace-normalised class means equal np.mean(where=) bit for bit.
+    sums = np.zeros((len(EVENT_CODES), 2, *scatters.shape[1:]))  # class, (rest, class)
+    for i in np.flatnonzero(train):
+        sums[range(len(EVENT_CODES)), is_pos[i].astype(int)] += scatters[i] / traces[i]
     per_class = {}
-    for code in EVENT_CODES:
-        pos_mask = labels == code
-        n_pos = int(pos_mask.sum())
-        if n_pos < 2:
+    for c, code in enumerate(EVENT_CODES):
+        pos, rest = train & is_pos[:, c], train & ~is_pos[:, c]
+        if pos.sum() < 2:
             raise ValueError(f"class {code} needs at least 2 training trials")
-        # Summed row by row, the class means equal np.mean(where=) bit for bit, and cost less.
-        sums = np.zeros((2, *normalized.shape[1:]))  # rest, class
-        for row, pos in zip(normalized, pos_mask):
-            sums[int(pos)] += row
-        csp_model = fit_csp_matrices(sums[1] / n_pos, sums[0] / (len(labels) - n_pos),
+        csp_model = fit_csp_matrices(sums[c, 1] / pos.sum(), sums[c, 0] / rest.sum(),
                                      config.n_pairs)
         feats = features_from_scatter(csp_model, scatters, n_samples, config.log_variance_mode)
-        lda_model = fit_lda(feats[pos_mask], feats[~pos_mask], config.shrinkage)
+        lda_model = fit_lda(feats[pos], feats[rest], config.shrinkage)
         per_class[code] = (csp_model, lda_model)
     return DecoderModel(per_class, config.log_variance_mode)
 

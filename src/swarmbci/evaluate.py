@@ -76,6 +76,7 @@ def cross_validate(scatters: np.ndarray, labels, n_samples: int, k: int, seed: i
     ``scatters`` stacks the (C, C) scatter matrix of each trial (see
     ``csp.trial_scatter``) over ``n_samples`` samples; a trial's scatter does
     not depend on fold membership, so computing it before the folds leaks nothing.
+    Each fold fits on the stack in place, through its train mask: nothing is copied.
     """
     labels = np.asarray(labels)
     if len(labels) == 0:
@@ -91,7 +92,7 @@ def cross_validate(scatters: np.ndarray, labels, n_samples: int, k: int, seed: i
     for fold in range(k):
         train_mask = folds != fold
         try:
-            model = fit_decoder(scatters[train_mask], labels[train_mask], n_samples, config)
+            model = fit_decoder(scatters, labels, n_samples, config, train=train_mask)
         except ValueError as exc:
             raise ValueError(f"fold {fold}: {exc}") from exc
         test_idx = np.flatnonzero(~train_mask)

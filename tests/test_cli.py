@@ -337,6 +337,7 @@ class TestSimulate:
         assert err.startswith("error: [Errno 21] Is a directory: ")
         assert err.endswith(f" -> '{out / 'trajectory_001_aggregating.csv'}'\n")
         assert not (out / "metrics.json").exists()
+        assert not (out / "trajectory_002_splitting.csv").exists()  # queued behind the failure
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
 
     def test_one_writer_process_per_run(self, tmp_path, monkeypatch):

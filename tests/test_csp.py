@@ -5,10 +5,10 @@ from swarmbci.csp import (
     CspModel,
     features_from_scatter,
     fit_csp_matrices,
-    trace_normalized,
     trial_scatter,
 )
-from swarmbci.decode import DecoderModel, LdaModel, predict
+from swarmbci.config import RunConfig
+from swarmbci.decode import DecoderModel, LdaModel, fit_decoder, predict
 
 
 def random_spd(n, rng, cond_floor=0.2):
@@ -26,7 +26,8 @@ def random_trial(n_channels, n_samples, rng):
 
 def normalized_covariance(*trials):
     """Mean of the trials' trace-normalized covariances, as the decoder takes it."""
-    return np.mean(trace_normalized(np.stack([trial_scatter(x) for x in trials])), axis=0)
+    scatters = np.stack([trial_scatter(x) for x in trials])
+    return np.mean(scatters / np.trace(scatters, axis1=1, axis2=2)[:, None, None], axis=0)
 
 
 def features(model, x, mode="plain"):
@@ -65,8 +66,16 @@ class TestTrialCovariance:
                                    [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_degenerate_trial(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            normalized_covariance(np.zeros((2, 10)))
+        # The decoder refuses a zero-variance train trial, named by its index in the stack.
+        rng = np.random.default_rng(4)
+        scatters = np.stack([trial_scatter(random_trial(4, 50, rng)) for _ in range(12)])
+        scatters[5] = trial_scatter(np.zeros((4, 50)))
+        labels = np.arange(12) % 4 + 1
+        with pytest.raises(ValueError, match="degenerate trial 5: zero total variance"):
+            fit_decoder(scatters, labels, 50, RunConfig(n_pairs=1))
+        # Outside the train rows it is not refused; only its features are clamped.
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            fit_decoder(scatters, labels, 50, RunConfig(n_pairs=1), train=np.arange(12) != 5)
 
     def test_mean_centering(self):
         # A constant offset must not change the covariance.
@@ -262,6 +271,13 @@ class TestBatchedFeatures:
         feats = features_from_scatter(model, stack, 200, "plain")
         for row, x in zip(feats, trials):
             np.testing.assert_array_equal(row, features(model, x))
+
+    def test_projection_equals_the_out_of_place_product_bit_for_bit(self):
+        model = self._model()
+        stack = np.stack([trial_scatter(x) for x in self._trials()])
+        w_sel = model.w[:, list(model.selected)]
+        reference = np.log(np.sum((stack @ w_sel) * w_sel, axis=-2) / 200)
+        np.testing.assert_array_equal(features_from_scatter(model, stack, 200, "plain"), reference)
 
     def test_stack_shape(self):
         model = self._model(n_pairs=2)

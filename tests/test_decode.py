@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from swarmbci.config import RunConfig
-from swarmbci.csp import CspModel, fit_csp_matrices, trace_normalized, trial_scatter
+from swarmbci.csp import CspModel, fit_csp_matrices, trial_scatter
 from swarmbci.decode import DecoderModel, LdaModel, fit_decoder, fit_lda, predict
+from swarmbci.evaluate import stratified_kfold
 from swarmbci.recording import ParadigmTiming, extract_trials
 from swarmbci.synth import SynthConfig, generate_subject
 
@@ -175,12 +176,44 @@ class TestFitDecoder:
         scatters = np.einsum("nct,ndt->ncd", x, x)
         labels = rng.permutation(np.arange(90) % 4 + 1)
         model = fit_decoder(scatters, labels, 40, RunConfig(n_pairs=2))
-        normalized = trace_normalized(scatters)
+        normalized = scatters / np.trace(scatters, axis1=1, axis2=2)[:, None, None]
         for code in (1, 2, 3, 4):
             pos = (labels == code)[:, None, None]
             expected = fit_csp_matrices(np.mean(normalized, axis=0, where=pos),
                                         np.mean(normalized, axis=0, where=~pos), 2)
             np.testing.assert_array_equal(model.per_class[code][0].w, expected.w)
+
+    @pytest.mark.parametrize("mode", ["plain", "normalized"])
+    def test_train_mask_equals_the_sliced_stack_bit_for_bit(self, mode):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((48, 8, 30))
+        scatters = np.einsum("nct,ndt->ncd", x, x)
+        labels = rng.permutation(np.arange(48) % 4 + 1)
+        cfg = RunConfig(n_pairs=2, log_variance_mode=mode)
+        folds = stratified_kfold(labels, 4, seed=0)
+        for fold in range(4):
+            mask = folds != fold
+            masked = fit_decoder(scatters, labels, 30, cfg, train=mask)
+            sliced = fit_decoder(scatters[mask], labels[mask], 30, cfg)
+            for code in (1, 2, 3, 4):
+                (csp_a, lda_a), (csp_b, lda_b) = masked.per_class[code], sliced.per_class[code]
+                np.testing.assert_array_equal(csp_a.w, csp_b.w)
+                np.testing.assert_array_equal(csp_a.eigenvalues, csp_b.eigenvalues)
+                assert csp_a.selected == csp_b.selected
+                np.testing.assert_array_equal(lda_a.weights, lda_b.weights)
+                assert lda_a.bias == lda_b.bias
+
+    def test_train_mask_of_the_wrong_length_names_both_lengths(self):
+        scatters = np.stack([np.eye(4)] * 12)
+        with pytest.raises(ValueError, match=r"length 12, got bool of shape \(11,\)"):
+            fit_decoder(scatters, np.arange(12) % 4 + 1, 10, RunConfig(n_pairs=1),
+                        train=np.ones(11, dtype=bool))
+
+    @pytest.mark.parametrize("train", [np.ones(12, dtype=int), [1] * 12, np.arange(12), True])
+    def test_non_boolean_train_mask_refused(self, train):
+        scatters = np.stack([np.eye(4)] * 12)
+        with pytest.raises(ValueError, match="boolean mask"):
+            fit_decoder(scatters, np.arange(12) % 4 + 1, 10, RunConfig(n_pairs=1), train=train)
 
 
 class TestPredict:

@@ -264,6 +264,24 @@ def test_memory_grows_with_the_scatters_not_the_trials():
     assert peak[4] - peak[1] < 0.5 * (3 * n) * trial_bytes
 
 
+def test_folds_copy_no_part_of_the_scatter_stack():
+    # A fold that copied its train rows, or a trace-normalised stack, would cost
+    # about 0.9 of the stack each.
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((400, 32, 40))
+    scatters = np.einsum("nct,ndt->ncd", x, x)
+    labels = rng.permutation(np.arange(400) % 4 + 1)
+    cross_validate(scatters, labels, 40, 10, 0, RunConfig())  # imports SciPy untraced
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cross_validate(scatters, labels, 40, 10, 0, RunConfig())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < scatters.nbytes
+
+
 #: Run in a fresh interpreter: the minor page faults of one ``evaluate_recording`` call.
 #: ``scipy.signal`` is imported at the first filter design; imported first, its
 #: one-time page faults are not counted as the trials'.
