@@ -11,12 +11,15 @@ filters.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 #: Floor applied to projection variances before the log.
 VARIANCE_FLOOR = 1e-300
+_BLOCK_ROWS = 16  # packed rows unpacked at a time, into one reused (B, C, C) buffer
 
 
 @dataclass(frozen=True)
@@ -37,16 +40,38 @@ class CspModel:
         return self.w.shape[0]
 
 
-def trial_scatter(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Channel-mean-centered scatter matrix Xc Xc^T of one trial.
+@lru_cache
+def _triangle(n_ch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the C x C upper triangle, and of each matrix entry in a packed row."""
+    upper = np.triu_indices(n_ch)
+    index = np.zeros((n_ch, n_ch), dtype=np.intp)
+    index[upper] = np.arange(len(upper[0]))
+    return np.ravel_multi_index(upper, index.shape), np.maximum(index, index.T).ravel()
 
-    The trial is centred in float64, in ``out`` if given (an array of the
-    trial's shape), else in a new array.
+
+def trial_scatter(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Channel-mean-centered scatter Xc Xc^T of one trial, as its packed upper triangle.
+
+    Xc Xc^T is exactly symmetric: its C(C+1)/2 values in ``np.triu_indices(C)`` order
+    hold it all. The trial is centred in float64, in ``out`` if given (the trial's shape).
     """
     xc = np.empty(np.shape(samples)) if out is None else out
     np.copyto(xc, samples)
     xc -= xc.mean(axis=1, keepdims=True)
-    return xc @ xc.T
+    return np.take(xc @ xc.T, _triangle(len(xc))[0])
+
+
+def unpacked(packed: np.ndarray, rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The (b, C, C) matrices of the packed ``rows`` (all if None), in one reused buffer."""
+    if (n_ch := int(np.sqrt(2 * packed.shape[1]))) * (n_ch + 1) // 2 != packed.shape[1]:
+        raise ValueError(f"packed scatters have C(C+1)/2 values a row, not {packed.shape[1]}")
+    rows = np.arange(len(packed)) if rows is None else rows
+    full = np.empty((min(len(rows), _BLOCK_ROWS), n_ch * n_ch))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        # mode="clip": under the default "raise", NumPy takes into a temporary copy of out.
+        block = np.take(packed[rows[start:start + _BLOCK_ROWS]], _triangle(n_ch)[1], axis=1,
+                        out=full[:len(rows) - start], mode="clip")
+        yield block.reshape(-1, n_ch, n_ch)
 
 
 def fit_csp_matrices(c_pos: np.ndarray, c_neg: np.ndarray,
@@ -83,19 +108,20 @@ def fit_csp_matrices(c_pos: np.ndarray, c_neg: np.ndarray,
     return CspModel(w, lam, selected)
 
 
-def features_from_scatter(model: CspModel, scatter: np.ndarray, n_samples: int,
-                          mode: str) -> np.ndarray:
-    """Log-variance features from one (C, C) trial scatter or an (n, C, C) stack.
+def features_from_scatter(models: Sequence[CspModel], scatter: np.ndarray, n_samples: int,
+                          mode: str, rows: np.ndarray | None = None) -> np.ndarray:
+    """Log-variance features of each model from one packed scatter or an (n, C(C+1)/2) stack.
 
-    var(w^T X) == w^T (Xc Xc^T / T) w, so features only need the scatter.
-    Returns ``2 * n_pairs`` features per trial: shape (2 n_pairs,) for one
-    scatter, (n, 2 n_pairs) for a stack. ``mode`` "plain" takes log of raw
+    Rows are packed as by ``trial_scatter``; only the stack rows ``rows`` (all if None) are
+    unpacked, once for all models. var(w^T X) == w^T (Xc Xc^T / T) w, so features only need
+    the scatter. Returns ``2 * n_pairs`` features per model and trial: (models, 2 n_pairs)
+    for one row, (models, rows, 2 n_pairs) for a stack. ``mode`` "plain" takes log of raw
     variances; "normalized" divides by the sum of the selected variances first.
     """
-    w_sel = model.w[:, list(model.selected)]
-    # In place: two stack-sized temporaries would trim the heap and fault back every call.
-    projected = scatter @ w_sel
-    variances = np.sum(np.multiply(projected, w_sel, out=projected), axis=-2) / n_samples
+    w = np.stack([m.w[:, list(m.selected)] for m in models])[:, None]  # (model, 1, C, 2 n_pairs)
+    # Each block's projection p is multiplied in place: no second temporary of its size.
+    variances = np.concatenate([np.sum(np.multiply(p := b @ w, w, out=p), axis=-2) / n_samples
+                                for b in unpacked(np.atleast_2d(scatter), rows)], axis=1)
     if np.any(variances < VARIANCE_FLOOR):
         warnings.warn("zero-variance CSP projection clamped", RuntimeWarning, stacklevel=2)
         variances = np.maximum(variances, VARIANCE_FLOOR)
@@ -104,4 +130,4 @@ def features_from_scatter(model: CspModel, scatter: np.ndarray, n_samples: int,
         variances = np.maximum(variances, VARIANCE_FLOOR)
     elif mode != "plain":
         raise ValueError(f"unknown log-variance mode {mode!r}")
-    return np.log(variances)
+    return np.log(variances)[:, 0] if np.ndim(scatter) == 1 else np.log(variances)

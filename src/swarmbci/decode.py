@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from swarmbci.config import RunConfig
-from swarmbci.csp import CspModel, features_from_scatter, fit_csp_matrices
+from swarmbci.csp import CspModel, features_from_scatter, fit_csp_matrices, unpacked
 from swarmbci.recording import EVENT_CODES
 
 
@@ -85,9 +85,10 @@ def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float) -> LdaModel:
 
 def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
                 config: RunConfig, train: np.ndarray | None = None) -> DecoderModel:
-    """Fit four class-vs-rest (CSP, LDA) pairs from stacked (n, C, C) trial scatters.
+    """Fit four class-vs-rest (CSP, LDA) pairs from an (n, C(C+1)/2) stack of packed scatters.
 
-    ``train`` masks the rows to fit on (all if None); no part of the stack is copied.
+    Rows are packed in ``np.triu_indices(C)`` order (see ``csp.trial_scatter``). ``train``
+    masks the rows to fit on (all if None); only those are unpacked, and none is copied.
     ``n_samples`` is the trial length the scatters were summed over;
     ``config`` supplies ``n_pairs``, ``shrinkage`` and ``log_variance_mode``.
     """
@@ -96,42 +97,40 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
     if train.dtype != bool or train.shape != (n,):
         raise ValueError(f"train must be a boolean mask of length {n}, got {train.dtype} "
                          f"of shape {train.shape}")
-    traces = np.trace(scatters, axis1=1, axis2=2)
-    if np.any(degenerate := train & (traces <= 0)):
-        raise ValueError(f"degenerate trial {np.argmax(degenerate)}: zero total variance")
-    is_pos = labels[:, None] == np.array(EVENT_CODES)  # (n, class)
+    rows = np.flatnonzero(train)
+    # np.trace of the unpacked rows: a sum over the packed diagonal rounds differently.
+    traces = np.array([t for m in unpacked(scatters, rows) for t in np.trace(m, axis1=1, axis2=2)])
+    if np.any(degenerate := traces <= 0):
+        raise ValueError(f"degenerate trial {rows[np.argmax(degenerate)]}: zero total variance")
+    is_pos = labels[rows, None] == np.array(EVENT_CODES)  # (train row, class)
     # Summed row by row, the trace-normalised class means equal np.mean(where=) bit for bit.
-    sums = np.zeros((len(EVENT_CODES), 2, *scatters.shape[1:]))  # class, (rest, class)
-    for i in np.flatnonzero(train):
-        sums[range(len(EVENT_CODES)), is_pos[i].astype(int)] += scatters[i] / traces[i]
-    per_class = {}
-    for c, code in enumerate(EVENT_CODES):
-        pos, rest = train & is_pos[:, c], train & ~is_pos[:, c]
-        if pos.sum() < 2:
-            raise ValueError(f"class {code} needs at least 2 training trials")
-        csp_model = fit_csp_matrices(sums[c, 1] / pos.sum(), sums[c, 0] / rest.sum(),
-                                     config.n_pairs)
-        feats = features_from_scatter(csp_model, scatters, n_samples, config.log_variance_mode)
-        lda_model = fit_lda(feats[pos], feats[rest], config.shrinkage)
-        per_class[code] = (csp_model, lda_model)
+    sums = np.zeros((len(EVENT_CODES) * 2, scatters.shape[1]))  # 2c: rest of class c, 2c + 1: c
+    for i, trace, in_class in zip(rows, traces, is_pos):
+        sums[2 * np.arange(len(EVENT_CODES)) + in_class] += scatters[i] / trace
+    sums = next(unpacked(sums))  # exactly symmetric, as the full matrices' sums were
+    if np.any(few := is_pos.sum(axis=0) < 2):
+        raise ValueError(f"class {EVENT_CODES[np.argmax(few)]} needs at least 2 training trials")
+    csp_models = [fit_csp_matrices(sums[2 * c + 1] / pos.sum(), sums[2 * c] / (~pos).sum(),
+                                   config.n_pairs) for c, pos in enumerate(is_pos.T)]
+    feats = features_from_scatter(csp_models, scatters, n_samples, config.log_variance_mode, rows)
+    per_class = {code: (csp_model, fit_lda(f[pos], f[~pos], config.shrinkage))
+                 for code, csp_model, f, pos in zip(EVENT_CODES, csp_models, feats, is_pos.T)}
     return DecoderModel(per_class, config.log_variance_mode)
 
 
 def predict(model: DecoderModel, scatter: np.ndarray,
             n_samples: int) -> tuple[int, dict[int, float]]:
-    """Decode one trial from its (C, C) scatter: argmax of the four OVR scores.
+    """Decode one trial from its packed scatter: argmax of the four OVR scores.
 
-    Ties break to the smallest event code.
+    The scatter's C(C+1)/2 values are in ``np.triu_indices(C)`` order (see
+    ``csp.trial_scatter``). Ties break to the smallest event code.
     """
     n_channels = model.per_class[1][0].n_channels
-    if np.shape(scatter) != (n_channels, n_channels):
-        raise ValueError(
-            f"scatter of shape {np.shape(scatter)} does not fit a decoder of {n_channels} channels"
-        )
-    scores = {}
-    for code in EVENT_CODES:
-        csp_model, lda_model = model.per_class[code]
-        feats = features_from_scatter(csp_model, scatter, n_samples, model.log_variance_mode)
-        scores[code] = lda_model.score(feats)
+    if np.shape(scatter) != (n_values := n_channels * (n_channels + 1) // 2,):
+        raise ValueError(f"scatter of shape {np.shape(scatter)} does not fit a decoder of "
+                         f"{n_channels} channels, which takes packed rows of length {n_values}")
+    csp_models, lda_models = zip(*(model.per_class[code] for code in EVENT_CODES))
+    feats = features_from_scatter(csp_models, scatter, n_samples, model.log_variance_mode)
+    scores = {code: lda.score(f) for code, lda, f in zip(EVENT_CODES, lda_models, feats)}
     best = max(EVENT_CODES, key=lambda c: (scores[c], -c))
     return best, scores

@@ -73,10 +73,10 @@ def cross_validate(scatters: np.ndarray, labels, n_samples: int, k: int, seed: i
                    config: RunConfig) -> CvResult:
     """Leakage-free stratified k-fold CV of the CSP+LDA decoder.
 
-    ``scatters`` stacks the (C, C) scatter matrix of each trial (see
-    ``csp.trial_scatter``) over ``n_samples`` samples; a trial's scatter does
-    not depend on fold membership, so computing it before the folds leaks nothing.
-    Each fold fits on the stack in place, through its train mask: nothing is copied.
+    ``scatters`` stacks each trial's scatter over ``n_samples`` samples, packed in
+    ``np.triu_indices(C)`` order (see ``csp.trial_scatter``); it does not depend on fold
+    membership, so computing it before the folds leaks nothing. Each fold fits on the
+    stack in place, through its train mask: nothing is copied.
     """
     labels = np.asarray(labels)
     if len(labels) == 0:
@@ -121,7 +121,7 @@ def cross_validate(scatters: np.ndarray, labels, n_samples: int, k: int, seed: i
 
 def _scatter_stack(rec: Recording | RecordingFile, timing: ParadigmTiming, spec: FilterSpec,
                    margin: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, C, C) trial scatters and the labels, reading and filtering one trial at a time.
+    """The (n, C(C+1)/2) packed trial scatters and labels, reading and filtering trial by trial.
 
     Every trial goes through one set of window-sized buffers: the read frames,
     the padded filter input, the float32 trial and the centred trial. Their
@@ -135,7 +135,7 @@ def _scatter_stack(rec: Recording | RecordingFile, timing: ParadigmTiming, spec:
     crop = np.empty((1, n_ch, t_len), dtype=np.float32)
     centred = np.empty((n_ch, t_len))
     n = len(rec.markers)
-    scatters = np.empty((n, n_ch, n_ch))
+    scatters = np.empty((n, n_ch * (n_ch + 1) // 2))
     labels = np.empty(n, dtype=int)
     for i in range(n):
         (trial,) = extract_trials(rec, timing, condition, margin, range(i, i + 1),

@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from swarmbci.csp import (
+    _BLOCK_ROWS,
     CspModel,
     features_from_scatter,
     fit_csp_matrices,
     trial_scatter,
+    unpacked,
 )
 from swarmbci.config import RunConfig
 from swarmbci.decode import DecoderModel, LdaModel, fit_decoder, predict
@@ -24,14 +28,25 @@ def random_trial(n_channels, n_samples, rng):
     return rng.standard_normal((n_channels, n_samples))
 
 
+def unpack(packed):
+    """The full symmetric matrices of packed rows, by mirroring their upper triangles."""
+    packed = np.asarray(packed)
+    n_ch = int(np.sqrt(2 * packed.shape[-1]))
+    upper = np.triu_indices(n_ch)
+    full = np.zeros((*packed.shape[:-1], n_ch, n_ch))
+    full[..., upper[0], upper[1]] = packed
+    full[..., upper[1], upper[0]] = packed
+    return full
+
+
 def normalized_covariance(*trials):
     """Mean of the trials' trace-normalized covariances, as the decoder takes it."""
-    scatters = np.stack([trial_scatter(x) for x in trials])
+    scatters = unpack([trial_scatter(x) for x in trials])
     return np.mean(scatters / np.trace(scatters, axis1=1, axis2=2)[:, None, None], axis=0)
 
 
 def features(model, x, mode="plain"):
-    return features_from_scatter(model, trial_scatter(x), x.shape[1], mode)
+    return features_from_scatter([model], trial_scatter(x), x.shape[1], mode)[0]
 
 
 def brute_force_top_eigenvalue(c_pos, c_neg, n_grid=200000, seed=0):
@@ -73,9 +88,15 @@ class TestTrialCovariance:
         labels = np.arange(12) % 4 + 1
         with pytest.raises(ValueError, match="degenerate trial 5: zero total variance"):
             fit_decoder(scatters, labels, 50, RunConfig(n_pairs=1))
-        # Outside the train rows it is not refused; only its features are clamped.
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            fit_decoder(scatters, labels, 50, RunConfig(n_pairs=1), train=np.arange(12) != 5)
+        # Outside the train rows it is neither refused nor featurised by the fit: only
+        # its prediction clamps its features, with one warning for the four classes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_decoder(scatters, labels, 50, RunConfig(n_pairs=1),
+                                train=np.arange(12) != 5)
+        with pytest.warns(RuntimeWarning, match="clamped") as record:
+            predict(model, scatters[5], 50)
+        assert len(record) == 1
 
     def test_mean_centering(self):
         # A constant offset must not change the covariance.
@@ -93,15 +114,41 @@ class TestTrialCovariance:
             x = (50.0 * rng.standard_normal((4, 120)) + 7.0).astype(np.float32)
             reference = np.asarray(x, dtype=np.float64)
             reference = reference - reference.mean(axis=1, keepdims=True)
-            np.testing.assert_array_equal(trial_scatter(x, out=out), reference @ reference.T)
+            np.testing.assert_array_equal(unpack(trial_scatter(x, out=out)),
+                                          reference @ reference.T)
             np.testing.assert_array_equal(out, reference)
+
+    @pytest.mark.parametrize("n_samples", [250, 4000])
+    def test_unpacked_row_is_the_full_scatter_bit_for_bit(self, n_samples):
+        # float32 windows of 64 channels: 250 samples as at 250 Hz, 4,000 as at 1 kHz.
+        rng = np.random.default_rng(n_samples)
+        gains = rng.uniform(0.1, 80.0, (64, 1)).astype(np.float32)
+        for _ in range(3):
+            x = gains * rng.standard_normal((64, n_samples), dtype=np.float32) + np.float32(3)
+            xc = np.asarray(x, dtype=np.float64)
+            xc = xc - xc.mean(axis=1, keepdims=True)
+            (full,) = unpacked(trial_scatter(x)[None])
+            np.testing.assert_array_equal(full, [xc @ xc.T])
+
+    def test_unpacked_blocks_follow_the_rows_in_order(self):
+        rng = np.random.default_rng(5)
+        stack = np.stack([trial_scatter(random_trial(5, 30, rng)) for _ in range(150)])
+        rows = np.flatnonzero(rng.random(150) < 0.8)
+        blocks = [block.copy() for block in unpacked(stack, rows)]
+        assert [len(b) for b in blocks] == ([_BLOCK_ROWS] * (len(rows) // _BLOCK_ROWS)
+                                            + [len(rows) % _BLOCK_ROWS])
+        np.testing.assert_array_equal(np.concatenate(blocks), unpack(stack[rows]))
+
+    def test_unpacked_refuses_a_length_no_channel_count_has(self):
+        with pytest.raises(ValueError, match="C\\(C\\+1\\)/2 values a row, not 7"):
+            next(unpacked(np.zeros((3, 7))))
 
 
 class TestClassMeanCovariance:
     def test_single_trial(self):
         rng = np.random.default_rng(2)
         t = random_trial(4, 100, rng)
-        s = trial_scatter(t)
+        s = unpack(trial_scatter(t))
         np.testing.assert_allclose(normalized_covariance(t), s / np.trace(s), atol=1e-15)
 
     def test_arithmetic_mean(self):
@@ -260,7 +307,7 @@ class TestBatchedFeatures:
         trials = self._trials()
         w_sel = model.w[:, list(model.selected)]
         stack = np.stack([trial_scatter(x) for x in trials])
-        feats = features_from_scatter(model, stack, 200, "plain")
+        feats = features_from_scatter([model], stack, 200, "plain")[0]
         reference = np.stack([np.log(np.var(w_sel.T @ x, axis=1)) for x in trials])
         np.testing.assert_allclose(feats, reference, rtol=1e-12, atol=0)
 
@@ -268,7 +315,7 @@ class TestBatchedFeatures:
         model = self._model()
         trials = self._trials()
         stack = np.stack([trial_scatter(x) for x in trials])
-        feats = features_from_scatter(model, stack, 200, "plain")
+        feats = features_from_scatter([model], stack, 200, "plain")[0]
         for row, x in zip(feats, trials):
             np.testing.assert_array_equal(row, features(model, x))
 
@@ -276,13 +323,25 @@ class TestBatchedFeatures:
         model = self._model()
         stack = np.stack([trial_scatter(x) for x in self._trials()])
         w_sel = model.w[:, list(model.selected)]
-        reference = np.log(np.sum((stack @ w_sel) * w_sel, axis=-2) / 200)
-        np.testing.assert_array_equal(features_from_scatter(model, stack, 200, "plain"), reference)
+        reference = np.log(np.sum((unpack(stack) @ w_sel) * w_sel, axis=-2) / 200)
+        np.testing.assert_array_equal(features_from_scatter([model], stack, 200, "plain")[0],
+                                      reference)
+
+    @pytest.mark.parametrize("mode", ["plain", "normalized"])
+    def test_models_sharing_the_unpacked_rows_equal_each_model_alone(self, mode):
+        models = [self._model(seed=s) for s in (18, 20, 21)]
+        stack = np.stack([trial_scatter(x) for x in self._trials(n_trials=70)])
+        rows = np.arange(1, 70, 2)
+        together = features_from_scatter(models, stack, 200, mode, rows)
+        assert together.shape == (3, len(rows), 6)
+        for model, feats in zip(models, together):
+            np.testing.assert_array_equal(feats, features_from_scatter([model], stack[rows], 200,
+                                                                       mode)[0])
 
     def test_stack_shape(self):
         model = self._model(n_pairs=2)
         stack = np.stack([trial_scatter(x) for x in self._trials(n_trials=3)])
-        assert features_from_scatter(model, stack, 200, "plain").shape == (3, 4)
+        assert features_from_scatter([model], stack, 200, "plain")[0].shape == (3, 4)
 
     def test_constant_trial_in_stack_clamped_with_warning(self):
         model = self._model()
@@ -290,11 +349,11 @@ class TestBatchedFeatures:
         trials[1] = np.outer(np.arange(1.0, 9.0), np.ones(200))
         stack = np.stack([trial_scatter(x) for x in trials])
         with pytest.warns(RuntimeWarning, match="clamped"):
-            feats = features_from_scatter(model, stack, 200, "plain")
+            feats = features_from_scatter([model], stack, 200, "plain")[0]
         assert np.all(np.isfinite(feats))
 
     def test_normalized_rows_sum_to_one(self):
         model = self._model()
         stack = np.stack([trial_scatter(x) for x in self._trials()])
-        feats = features_from_scatter(model, stack, 200, "normalized")
+        feats = features_from_scatter([model], stack, 200, "normalized")[0]
         np.testing.assert_allclose(np.sum(np.exp(feats), axis=1), 1.0, atol=1e-9)

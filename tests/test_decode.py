@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from swarmbci.config import RunConfig
-from swarmbci.csp import CspModel, fit_csp_matrices, trial_scatter
+from swarmbci.csp import VARIANCE_FLOOR, CspModel, fit_csp_matrices, trial_scatter, unpacked
 from swarmbci.decode import DecoderModel, LdaModel, fit_decoder, fit_lda, predict
 from swarmbci.evaluate import stratified_kfold
-from swarmbci.recording import ParadigmTiming, extract_trials
+from swarmbci.recording import EVENT_CODES, ParadigmTiming, extract_trials
 from swarmbci.synth import SynthConfig, generate_subject
 
 SMALL_TIMING = ParadigmTiming(0.5, 0.5, 0.5, 2.0)
@@ -29,6 +29,50 @@ def fit_trials(trials, config=RunConfig(n_pairs=2)):
 
 def predict_trial(model, trial):
     return predict(model, trial_scatter(trial.samples), trial.n_samples)
+
+
+def packed(full):
+    """The upper triangles of (..., C, C) matrices, as ``csp.trial_scatter`` packs them."""
+    return full[(..., *np.triu_indices(full.shape[-1]))]
+
+
+def full_scatter(x):
+    """The whole C x C scatter of one trial, as ``trial_scatter`` returned it before packing."""
+    xc = np.asarray(x, dtype=np.float64)
+    xc = xc - xc.mean(axis=1, keepdims=True)
+    return xc @ xc.T
+
+
+def full_stack_features(model, scatters, n_samples, mode):
+    """``features_from_scatter`` of one model on a whole (n, C, C) stack, before packing."""
+    w_sel = model.w[:, list(model.selected)]
+    projected = scatters @ w_sel
+    variances = np.sum(np.multiply(projected, w_sel, out=projected), axis=-2) / n_samples
+    variances = np.maximum(variances, VARIANCE_FLOOR)
+    if mode == "normalized":
+        variances = variances / np.sum(variances, axis=-1, keepdims=True)
+        variances = np.maximum(variances, VARIANCE_FLOOR)
+    return np.log(variances)
+
+
+def full_stack_fit_decoder(scatters, labels, n_samples, config, train):
+    """``fit_decoder`` on a whole (n, C, C) scatter stack, as it was before the rows were packed.
+
+    Kept as the reference that the packed fit must equal bit for bit.
+    """
+    traces = np.trace(scatters, axis1=1, axis2=2)
+    is_pos = np.asarray(labels)[:, None] == np.array(EVENT_CODES)
+    sums = np.zeros((len(EVENT_CODES), 2, *scatters.shape[1:]))
+    for i in np.flatnonzero(train):
+        sums[range(len(EVENT_CODES)), is_pos[i].astype(int)] += scatters[i] / traces[i]
+    per_class = {}
+    for c, code in enumerate(EVENT_CODES):
+        pos, rest = train & is_pos[:, c], train & ~is_pos[:, c]
+        csp_model = fit_csp_matrices(sums[c, 1] / pos.sum(), sums[c, 0] / rest.sum(),
+                                     config.n_pairs)
+        feats = full_stack_features(csp_model, scatters, n_samples, config.log_variance_mode)
+        per_class[code] = (csp_model, fit_lda(feats[pos], feats[rest], config.shrinkage))
+    return per_class
 
 
 def lda_closed_form(pos, neg, shrinkage=Fraction(0)):
@@ -173,10 +217,11 @@ class TestFitDecoder:
         """The CSP of each class is fit on ``np.mean(..., where=)`` class means, exactly."""
         rng = np.random.default_rng(8)
         x = rng.standard_normal((90, 6, 40))
-        scatters = np.einsum("nct,ndt->ncd", x, x)
+        scatters = np.stack([trial_scatter(t) for t in x])
         labels = rng.permutation(np.arange(90) % 4 + 1)
         model = fit_decoder(scatters, labels, 40, RunConfig(n_pairs=2))
-        normalized = scatters / np.trace(scatters, axis1=1, axis2=2)[:, None, None]
+        full = np.stack([full_scatter(t) for t in x])
+        normalized = full / np.trace(full, axis1=1, axis2=2)[:, None, None]
         for code in (1, 2, 3, 4):
             pos = (labels == code)[:, None, None]
             expected = fit_csp_matrices(np.mean(normalized, axis=0, where=pos),
@@ -187,7 +232,7 @@ class TestFitDecoder:
     def test_train_mask_equals_the_sliced_stack_bit_for_bit(self, mode):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((48, 8, 30))
-        scatters = np.einsum("nct,ndt->ncd", x, x)
+        scatters = np.stack([trial_scatter(t) for t in x])
         labels = rng.permutation(np.arange(48) % 4 + 1)
         cfg = RunConfig(n_pairs=2, log_variance_mode=mode)
         folds = stratified_kfold(labels, 4, seed=0)
@@ -203,15 +248,51 @@ class TestFitDecoder:
                 np.testing.assert_array_equal(lda_a.weights, lda_b.weights)
                 assert lda_a.bias == lda_b.bias
 
+    @pytest.mark.parametrize("mode", ["plain", "normalized"])
+    @pytest.mark.parametrize("n_channels", [4, 7, 64])
+    def test_every_fold_equals_the_full_stack_fit_bit_for_bit(self, n_channels, mode):
+        rng = np.random.default_rng(n_channels)
+        gains = rng.uniform(0.2, 40.0, (1, n_channels, 1)).astype(np.float32)
+        x = gains * rng.standard_normal((48, n_channels, 2 * n_channels + 20), dtype=np.float32)
+        labels = rng.permutation(np.arange(48) % 4 + 1)
+        scatters = np.stack([trial_scatter(t) for t in x])
+        full = np.stack([full_scatter(t) for t in x])
+        np.testing.assert_array_equal(packed(full), scatters)
+        cfg = RunConfig(n_pairs=min(3, n_channels // 2), log_variance_mode=mode)
+        folds = stratified_kfold(labels, 4, seed=n_channels)
+        for fold in range(4):
+            model = fit_decoder(scatters, labels, x.shape[2], cfg, train=folds != fold)
+            reference = full_stack_fit_decoder(full, labels, x.shape[2], cfg, folds != fold)
+            for code in EVENT_CODES:
+                (csp_a, lda_a), (csp_b, lda_b) = model.per_class[code], reference[code]
+                np.testing.assert_array_equal(csp_a.w, csp_b.w)
+                np.testing.assert_array_equal(csp_a.eigenvalues, csp_b.eigenvalues)
+                assert csp_a.selected == csp_b.selected
+                np.testing.assert_array_equal(lda_a.weights, lda_b.weights)
+                assert lda_a.bias == lda_b.bias
+
+    @pytest.mark.parametrize("shape", [(300, 64, 250), (20, 64, 4000), (90, 7, 40)])
+    def test_traces_of_the_unpacked_rows_equal_np_trace_bit_for_bit(self, shape):
+        # fit_decoder normalises each train row by np.trace of its unpacked block.
+        rng = np.random.default_rng(shape[0])
+        gains = rng.uniform(0.01, 100.0, (shape[0], shape[1], 1)).astype(np.float32)
+        x = gains * rng.standard_normal(shape, dtype=np.float32)
+        scatters = np.stack([trial_scatter(t) for t in x])
+        full = np.stack([full_scatter(t) for t in x])
+        rows = np.flatnonzero(rng.random(shape[0]) < 0.9)
+        traces = [np.trace(block, axis1=1, axis2=2) for block in unpacked(scatters, rows)]
+        np.testing.assert_array_equal(np.concatenate(traces), np.trace(full[rows], axis1=1,
+                                                                       axis2=2))
+
     def test_train_mask_of_the_wrong_length_names_both_lengths(self):
-        scatters = np.stack([np.eye(4)] * 12)
+        scatters = np.stack([packed(np.eye(4))] * 12)
         with pytest.raises(ValueError, match=r"length 12, got bool of shape \(11,\)"):
             fit_decoder(scatters, np.arange(12) % 4 + 1, 10, RunConfig(n_pairs=1),
                         train=np.ones(11, dtype=bool))
 
     @pytest.mark.parametrize("train", [np.ones(12, dtype=int), [1] * 12, np.arange(12), True])
     def test_non_boolean_train_mask_refused(self, train):
-        scatters = np.stack([np.eye(4)] * 12)
+        scatters = np.stack([packed(np.eye(4))] * 12)
         with pytest.raises(ValueError, match="boolean mask"):
             fit_decoder(scatters, np.arange(12) % 4 + 1, 10, RunConfig(n_pairs=1), train=train)
 
@@ -260,3 +341,11 @@ class TestPredict:
         model = fit_trials(ts.trials)
         with pytest.raises(ValueError, match="channels"):
             predict(model, trial_scatter(np.random.default_rng(0).standard_normal((3, 100))), 100)
+
+    def test_row_of_the_wrong_length_names_both_lengths(self):
+        ts = small_synth_trialset(trials_per_class=5, seed=10)
+        model = fit_trials(ts.trials)  # 12 channels: 78 packed values
+        with pytest.raises(ValueError, match=r"shape \(77,\) .* 12 channels, .* length 78"):
+            predict(model, np.ones(77), 100)
+        with pytest.raises(ValueError, match=r"shape \(12, 12\) .* length 78"):
+            predict(model, np.eye(12), 100)

@@ -144,7 +144,7 @@ class TestCrossValidate:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            cross_validate(np.empty((0, 3, 3)), np.empty(0, dtype=int), 10, 5, 0, RunConfig())
+            cross_validate(np.empty((0, 6)), np.empty(0, dtype=int), 10, 5, 0, RunConfig())
 
     def test_no_leakage_canary(self):
         # Chance-level data plus one extreme, mislabeled trial. A decoder
@@ -264,12 +264,29 @@ def test_memory_grows_with_the_scatters_not_the_trials():
     assert peak[4] - peak[1] < 0.5 * (3 * n) * trial_bytes
 
 
+def test_evaluate_holds_the_scatters_packed():
+    # Full (n, C, C) scatter matrices alone would reach the bound. Packed, a trial
+    # keeps C(C+1)/2 of its C * C values (0.52 at 32 channels), beside window and
+    # block buffers of fixed size.
+    n, n_ch, timing = 400, 32, ParadigmTiming(0.5, 0.5, 0.5, 1.0)
+    rec = _random_recording(n, n_channels=n_ch, timing=timing)
+    evaluate_recording(_random_recording(40, n_channels=n_ch, timing=timing), RunConfig(),
+                       timing)  # imports SciPy untraced
+    tracemalloc.start()
+    try:
+        evaluate_recording(rec, RunConfig(), timing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n_ch * n_ch * 8
+
+
 def test_folds_copy_no_part_of_the_scatter_stack():
     # A fold that copied its train rows, or a trace-normalised stack, would cost
     # about 0.9 of the stack each.
     rng = np.random.default_rng(12)
     x = rng.standard_normal((400, 32, 40))
-    scatters = np.einsum("nct,ndt->ncd", x, x)
+    scatters = np.einsum("nct,ndt->ncd", x, x)[(slice(None), *np.triu_indices(32))]
     labels = rng.permutation(np.arange(400) % 4 + 1)
     cross_validate(scatters, labels, 40, 10, 0, RunConfig())  # imports SciPy untraced
     tracemalloc.start()
