@@ -61,12 +61,31 @@ def trial_scatter(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return np.take(xc @ xc.T, _triangle(len(xc))[0])
 
 
-def unpacked(packed: np.ndarray, rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """The (b, C, C) matrices of the packed ``rows`` (all if None), in one reused buffer."""
+def _packed_channels(packed: np.ndarray) -> int:
     if (n_ch := int(np.sqrt(2 * packed.shape[1]))) * (n_ch + 1) // 2 != packed.shape[1]:
         raise ValueError(f"packed scatters have C(C+1)/2 values a row, not {packed.shape[1]}")
+    return n_ch
+
+
+def unpack_buffer(packed: np.ndarray, n_rows: int) -> np.ndarray:
+    """A buffer in which ``unpacked`` unpacks ``n_rows`` rows of ``packed``, block by block.
+
+    Passes over one stack can share it. A buffer allocated per pass was mapped and
+    faulted in afresh each time (512 KB at 64 channels).
+    """
+    n_ch = _packed_channels(packed)
+    return np.empty((min(n_rows, _BLOCK_ROWS), n_ch * n_ch))
+
+
+def unpacked(packed: np.ndarray, rows: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The (b, C, C) matrices of the packed ``rows`` (all if None), in one reused buffer.
+
+    ``out`` is that buffer, from ``unpack_buffer`` for as many rows (a new one if None).
+    """
+    n_ch = _packed_channels(packed)
     rows = np.arange(len(packed)) if rows is None else rows
-    full = np.empty((min(len(rows), _BLOCK_ROWS), n_ch * n_ch))
+    full = unpack_buffer(packed, len(rows)) if out is None else out
     for start in range(0, len(rows), _BLOCK_ROWS):
         # mode="clip": under the default "raise", NumPy takes into a temporary copy of out.
         block = np.take(packed[rows[start:start + _BLOCK_ROWS]], _triangle(n_ch)[1], axis=1,
@@ -109,19 +128,22 @@ def fit_csp_matrices(c_pos: np.ndarray, c_neg: np.ndarray,
 
 
 def features_from_scatter(models: Sequence[CspModel], scatter: np.ndarray, n_samples: int,
-                          mode: str, rows: np.ndarray | None = None) -> np.ndarray:
+                          mode: str, rows: np.ndarray | None = None,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Log-variance features of each model from one packed scatter or an (n, C(C+1)/2) stack.
 
     Rows are packed as by ``trial_scatter``; only the stack rows ``rows`` (all if None) are
-    unpacked, once for all models. var(w^T X) == w^T (Xc Xc^T / T) w, so features only need
-    the scatter. Returns ``2 * n_pairs`` features per model and trial: (models, 2 n_pairs)
-    for one row, (models, rows, 2 n_pairs) for a stack. ``mode`` "plain" takes log of raw
-    variances; "normalized" divides by the sum of the selected variances first.
+    unpacked, once for all models, in ``out`` if given (see ``unpacked``).
+    var(w^T X) == w^T (Xc Xc^T / T) w, so features only need the scatter. Returns
+    ``2 * n_pairs`` features per model and trial: (models, 2 n_pairs) for one row,
+    (models, rows, 2 n_pairs) for a stack. ``mode`` "plain" takes log of raw variances;
+    "normalized" divides by the sum of the selected variances first.
     """
     w = np.stack([m.w[:, list(m.selected)] for m in models])[:, None]  # (model, 1, C, 2 n_pairs)
     # Each block's projection p is multiplied in place: no second temporary of its size.
     variances = np.concatenate([np.sum(np.multiply(p := b @ w, w, out=p), axis=-2) / n_samples
-                                for b in unpacked(np.atleast_2d(scatter), rows)], axis=1)
+                                for b in unpacked(np.atleast_2d(scatter), rows, out)],
+                               axis=1)
     if np.any(variances < VARIANCE_FLOOR):
         warnings.warn("zero-variance CSP projection clamped", RuntimeWarning, stacklevel=2)
         variances = np.maximum(variances, VARIANCE_FLOOR)

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from swarmbci.config import RunConfig
-from swarmbci.csp import CspModel, features_from_scatter, fit_csp_matrices, unpacked
+from swarmbci.csp import (
+    CspModel,
+    features_from_scatter,
+    fit_csp_matrices,
+    unpack_buffer,
+    unpacked,
+)
 from swarmbci.recording import EVENT_CODES
 
 
@@ -98,8 +104,10 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
         raise ValueError(f"train must be a boolean mask of length {n}, got {train.dtype} "
                          f"of shape {train.shape}")
     rows = np.flatnonzero(train)
+    block = unpack_buffer(scatters, len(rows))  # one for both passes over the train rows
     # np.trace of the unpacked rows: a sum over the packed diagonal rounds differently.
-    traces = np.array([t for m in unpacked(scatters, rows) for t in np.trace(m, axis1=1, axis2=2)])
+    traces = np.array([t for m in unpacked(scatters, rows, block)
+                       for t in np.trace(m, axis1=1, axis2=2)])
     if np.any(degenerate := traces <= 0):
         raise ValueError(f"degenerate trial {rows[np.argmax(degenerate)]}: zero total variance")
     is_pos = labels[rows, None] == np.array(EVENT_CODES)  # (train row, class)
@@ -112,7 +120,8 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
         raise ValueError(f"class {EVENT_CODES[np.argmax(few)]} needs at least 2 training trials")
     csp_models = [fit_csp_matrices(sums[2 * c + 1] / pos.sum(), sums[2 * c] / (~pos).sum(),
                                    config.n_pairs) for c, pos in enumerate(is_pos.T)]
-    feats = features_from_scatter(csp_models, scatters, n_samples, config.log_variance_mode, rows)
+    feats = features_from_scatter(csp_models, scatters, n_samples, config.log_variance_mode,
+                                  rows, block)
     per_class = {code: (csp_model, fit_lda(f[pos], f[~pos], config.shrinkage))
                  for code, csp_model, f, pos in zip(EVENT_CODES, csp_models, feats, is_pos.T)}
     return DecoderModel(per_class, config.log_variance_mode)

@@ -11,6 +11,8 @@ statistically identical, so downstream accuracy sits at chance.
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,7 @@ from swarmbci.recording import (
 #: Band the latent sources occupy, matching the decoding passband.
 SOURCE_BAND_HZ = (8.0, 30.0)
 _SOURCE_FILTER_ORDER = 4
+_MIX_BLOCK = 16384  # frames of the mixing product added to the data at a time
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,8 @@ class SynthConfig:
             raise ValueError("need at least 8 sources (2 dominant per class)")
         if not (0.0 <= self.separability <= 1.0):
             raise ValueError("separability must be in [0, 1]")
-        if self.noise_floor <= 0:
-            raise ValueError("noise_floor must be > 0")
+        if not (0 < self.noise_floor < math.inf):
+            raise ValueError(f"noise_floor must be finite and > 0, got {self.noise_floor}")
         if self.trials_per_class < 1:
             raise ValueError("trials_per_class must be >= 1")
         if not (2 * SOURCE_BAND_HZ[1] < self.fs_hz < math.inf):
@@ -76,6 +79,14 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
 
     Deterministic given ``cfg``: the mixing matrix, class order, and all
     noise derive from a single generator seeded with ``cfg.seed``.
+
+    One helper thread makes every draw, in stream order: the mixing normals,
+    the label shuffle and the sources, then the noise, straight into the
+    data rows. Meanwhile this thread designs the source filter (the first
+    design imports SciPy) and filters the sources. The noise stops at row
+    ``n_channels - 3 * n_sources`` until the float64 sources are freed, so
+    the peak memory does not depend on which thread runs ahead. The result
+    equals the single-threaded ``mix @ sources + noise`` bit for bit.
     """
     if subject_id is None:
         subject_id = f"synth-{cfg.seed}"
@@ -85,38 +96,62 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
     t_len = int(round(cfg.timing.imagery_s * fs))
     n_trials = 4 * cfg.trials_per_class
     total = n_trials * (gap + t_len)
+    data = np.empty((cfg.n_channels, total), dtype=np.float32)
+    # In rows of ``total`` float32: while the float64 sources (2 n_sources rows) and
+    # their std's temporary (as many) live, at most gate + 4 n_sources rows are held,
+    # the sequential peak of n_channels data rows plus n_sources float32 source rows.
+    gate = max(0, cfg.n_channels - 3 * cfg.n_sources)
+    sources_freed = threading.Event()
 
-    # Random orthogonal mixing (orthonormal columns, signs canonicalized).
-    g = rng.standard_normal((cfg.n_channels, cfg.n_sources))
-    mix, r = np.linalg.qr(g)
-    mix = mix * np.sign(np.diag(r))
+    # The helper makes a single-threaded run's draws, in its order. It calls only
+    # Generator and NumPy functions: bench/tracer.py keeps one span stack per process.
+    def draw_sources():
+        g = rng.standard_normal((cfg.n_channels, cfg.n_sources))
+        labels = np.repeat(np.arange(1, 5), cfg.trials_per_class)
+        rng.shuffle(labels)
+        return g, labels, rng.standard_normal((cfg.n_sources, total))
 
-    labels = np.repeat(np.arange(1, 5), cfg.trials_per_class)
-    rng.shuffle(labels)
+    def draw_noise():
+        for ch in range(cfg.n_channels):
+            if ch == gate:
+                sources_freed.wait()
+            rng.standard_normal(dtype=np.float32, out=data[ch])
+            data[ch] *= cfg.noise_floor
 
-    sources = rng.standard_normal((cfg.n_sources, total))
-    band = design_bandpass(SOURCE_BAND_HZ[0], SOURCE_BAND_HZ[1], _SOURCE_FILTER_ORDER, fs)
-    for j in range(cfg.n_sources):
-        sources[j] = filter_channels(band, sources[j])
-    # Normalize so each source has unit in-band standard deviation.
-    sources /= sources.std(axis=1, keepdims=True)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        drawn, noise = pool.submit(draw_sources), pool.submit(draw_noise)
+        try:
+            band = design_bandpass(SOURCE_BAND_HZ[0], SOURCE_BAND_HZ[1],
+                                   _SOURCE_FILTER_ORDER, fs)
+            g, labels, sources = drawn.result()
+            del drawn  # a Future keeps its result: the float64 sources
+            # Random orthogonal mixing (orthonormal columns, signs canonicalized).
+            mix, r = np.linalg.qr(g)
+            mix = mix * np.sign(np.diag(r))
+            for j in range(cfg.n_sources):
+                sources[j] = filter_channels(band, sources[j])
+            # Normalize so each source has unit in-band standard deviation.
+            sources /= sources.std(axis=1, keepdims=True)
 
-    pattern = pattern_matrix(cfg.n_sources)
-    markers = []
-    for i, label in enumerate(labels):
-        onset = i * (gap + t_len) + gap
-        scale = 1.0 + cfg.separability * pattern[label - 1]
-        sources[:, onset:onset + t_len] *= scale[:, None]
-        markers.append(EventMarker(onset, int(label)))
+            pattern = pattern_matrix(cfg.n_sources)
+            markers = []
+            for i, label in enumerate(labels):
+                onset = i * (gap + t_len) + gap
+                scale = 1.0 + cfg.separability * pattern[label - 1]
+                sources[:, onset:onset + t_len] *= scale[:, None]
+                markers.append(EventMarker(onset, int(label)))
 
-    sources = sources.astype(np.float32)
-    data = mix.astype(np.float32) @ sources
-    del sources
-    noise = np.empty(total, dtype=np.float32)
-    for ch in range(cfg.n_channels):
-        rng.standard_normal(dtype=np.float32, out=noise)
-        noise *= cfg.noise_floor
-        data[ch] += noise
+            src32 = sources.astype(np.float32)
+            del sources
+        finally:
+            sources_freed.set()
+        noise.result()
+
+    # Column blocks of the mixing product give the full sgemm's sums bit for bit;
+    # float32 addition commutes, so noise + product is product + noise.
+    mix32 = mix.astype(np.float32)
+    for a in range(0, total, _MIX_BLOCK):
+        data[:, a:a + _MIX_BLOCK] += mix32 @ src32[:, a:a + _MIX_BLOCK]
 
     layout = (ChannelLayout.default_64() if cfg.n_channels == 64
               else ChannelLayout.generic(cfg.n_channels))

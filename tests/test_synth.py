@@ -1,11 +1,89 @@
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from swarmbci.recording import ParadigmTiming, extract_trials
-from swarmbci.synth import SynthConfig, generate_subject, pattern_matrix
+from swarmbci import synth
+from swarmbci.dsp import design_bandpass, filter_channels
+from swarmbci.recording import (
+    ChannelLayout,
+    EventMarker,
+    ParadigmTiming,
+    Recording,
+    extract_trials,
+)
+from swarmbci.synth import (
+    SOURCE_BAND_HZ,
+    SynthConfig,
+    generate_subject,
+    pattern_matrix,
+)
 
 SMALL_TIMING = ParadigmTiming(0.5, 0.5, 0.5, 2.0)
+
+
+def sequential_generate_subject(cfg, subject_id=None):
+    """``generate_subject`` drawing and mixing on one thread, as it was before the helper thread.
+
+    Kept as the reference that the threaded generator must equal bit for bit.
+    """
+    if subject_id is None:
+        subject_id = f"synth-{cfg.seed}"
+    rng = np.random.default_rng(cfg.seed)
+    fs = cfg.fs_hz
+    gap = int(round((cfg.timing.rest_s + cfg.timing.cue_s + cfg.timing.fixation_s) * fs))
+    t_len = int(round(cfg.timing.imagery_s * fs))
+    n_trials = 4 * cfg.trials_per_class
+    total = n_trials * (gap + t_len)
+
+    g = rng.standard_normal((cfg.n_channels, cfg.n_sources))
+    mix, r = np.linalg.qr(g)
+    mix = mix * np.sign(np.diag(r))
+
+    labels = np.repeat(np.arange(1, 5), cfg.trials_per_class)
+    rng.shuffle(labels)
+
+    sources = rng.standard_normal((cfg.n_sources, total))
+    band = design_bandpass(SOURCE_BAND_HZ[0], SOURCE_BAND_HZ[1], 4, fs)
+    for j in range(cfg.n_sources):
+        sources[j] = filter_channels(band, sources[j])
+    sources /= sources.std(axis=1, keepdims=True)
+
+    pattern = pattern_matrix(cfg.n_sources)
+    markers = []
+    for i, label in enumerate(labels):
+        onset = i * (gap + t_len) + gap
+        scale = 1.0 + cfg.separability * pattern[label - 1]
+        sources[:, onset:onset + t_len] *= scale[:, None]
+        markers.append(EventMarker(onset, int(label)))
+
+    sources = sources.astype(np.float32)
+    data = mix.astype(np.float32) @ sources
+    del sources
+    noise = np.empty(total, dtype=np.float32)
+    for ch in range(cfg.n_channels):
+        rng.standard_normal(dtype=np.float32, out=noise)
+        noise *= cfg.noise_floor
+        data[ch] += noise
+
+    layout = (ChannelLayout.default_64() if cfg.n_channels == 64
+              else ChannelLayout.generic(cfg.n_channels))
+    return Recording(subject_id, fs, layout, data, markers, None)
+
+
+def slowed_filter(delay_s):
+    """``filter_channels`` that sleeps first, so the noise draws run ahead of the sources."""
+    def slow(*args, **kwargs):
+        time.sleep(delay_s)
+        return filter_channels(*args, **kwargs)
+    return slow
 
 
 class TestPatternMatrix:
@@ -107,6 +185,128 @@ class TestGenerateSubject:
             SynthConfig(n_sources=80, n_channels=64)
         with pytest.raises(ValueError):
             SynthConfig(noise_floor=0.0)
+        for floor in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise_floor"):
+                SynthConfig(noise_floor=floor)
         for fs in (60.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="fs_hz"):
                 SynthConfig(fs_hz=fs)
+
+
+#: Run in a fresh interpreter: the rise of the peak RSS over one generator call.
+#: Both generators' modules, SciPy included, are imported before it is read. The
+#: peak is VmHWM, the new process's own: ``ru_maxrss`` keeps the forking parent's.
+_PEAK_RSS_CHILD = textwrap.dedent("""
+    import re, sys
+    sys.path.insert(0, sys.argv[1])
+    import test_synth
+    from swarmbci import synth
+    from swarmbci.recording import ParadigmTiming
+
+    def peak_kib():
+        with open("/proc/self/status") as fh:
+            return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+
+    cfg = synth.SynthConfig(n_channels=64, fs_hz=250.0, trials_per_class=25,
+                            timing=ParadigmTiming(), seed=2)
+    if sys.argv[2] == "sequential":
+        generate = test_synth.sequential_generate_subject
+    else:
+        synth.filter_channels = test_synth.slowed_filter(0.1)
+        generate = synth.generate_subject
+    before = peak_kib()
+    generate(cfg)
+    print(peak_kib() - before)
+""")
+
+
+class TestDrawThread:
+    @pytest.mark.parametrize("n_channels", [8, 16, 64])
+    @pytest.mark.parametrize("fs", [250.0, 1000.0])
+    @pytest.mark.parametrize("separability", [0.0, 0.9])
+    def test_equals_the_sequential_generator(self, n_channels, fs, separability):
+        cfg = SynthConfig(n_channels=n_channels, fs_hz=fs, trials_per_class=3,
+                          timing=SMALL_TIMING, separability=separability, seed=n_channels)
+        assert generate_subject(cfg) == sequential_generate_subject(cfg)
+
+    def test_equals_the_sequential_generator_with_the_noise_ahead(self, monkeypatch):
+        # 64 channels: the noise draws 40 rows before it waits for the sources.
+        cfg = SynthConfig(n_channels=64, fs_hz=1000.0, trials_per_class=3,
+                          timing=SMALL_TIMING, separability=0.9, seed=11)
+        monkeypatch.setattr(synth, "filter_channels", slowed_filter(0.05))
+        assert generate_subject(cfg) == sequential_generate_subject(cfg)
+
+    def test_concurrent_calls_each_equal_the_sequential_generator(self):
+        # More callers than cores, switching threads often: no call may take
+        # another's draws or rows.
+        cfgs = [SynthConfig(n_channels=64, fs_hz=250.0, trials_per_class=3, timing=SMALL_TIMING,
+                            separability=0.9, seed=seed) for seed in range(4)]
+        results = {}
+
+        def run(cfg):
+            results[cfg.seed] = generate_subject(cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(c,)) for c in cfgs]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for c in cfgs:
+            assert results[c.seed] == sequential_generate_subject(c)
+
+    @pytest.mark.parametrize("extra", [4, 8, 100, synth._MIX_BLOCK - 4])
+    def test_mixing_in_column_blocks_equals_the_full_product(self, extra):
+        rng = np.random.default_rng(extra)
+        mix = rng.standard_normal((64, 8)).astype(np.float32)
+        sources = rng.standard_normal((8, 2 * synth._MIX_BLOCK + extra), dtype=np.float32)
+        noise = rng.standard_normal((64, sources.shape[1]), dtype=np.float32)
+        blocked = noise.copy()
+        for a in range(0, sources.shape[1], synth._MIX_BLOCK):
+            blocked[:, a:a + synth._MIX_BLOCK] += mix @ sources[:, a:a + synth._MIX_BLOCK]
+        np.testing.assert_array_equal(blocked, mix @ sources + noise)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+    def test_peak_memory_does_not_depend_on_the_thread_timing(self):
+        # With the sources slowed, noise drawn past the gate row would be held beside
+        # the float64 sources and their std temporary: 24 more rows (31 MB) here.
+        # The sequential peak is the data and the float32 sources, 72 rows.
+        # tracemalloc cannot show this: it counts ``data`` whole when it is allocated.
+        tests, src = str(Path(__file__).parent), str(Path(synth.__file__).resolve().parents[1])
+        rise = {}
+        for which in ("sequential", "threaded"):
+            proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, tests, which],
+                                  capture_output=True, text=True, timeout=300, check=True,
+                                  env={**os.environ, "PYTHONPATH": src})
+            rise[which] = int(proc.stdout) * 1024
+        # One mixing block, and 1 MiB for the helper thread's stack and the executor.
+        bound = rise["sequential"] + 64 * synth._MIX_BLOCK * 4 + 2**20
+        assert rise["threaded"] <= bound, rise
+
+    def test_source_error_is_raised_and_the_thread_ends(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("filter failed")
+
+        monkeypatch.setattr(synth, "filter_channels", fail)
+        cfg = SynthConfig(n_channels=64, fs_hz=250.0, trials_per_class=3,
+                          timing=SMALL_TIMING, seed=1)
+        before = threading.active_count()
+        raised = []
+
+        def run():
+            try:
+                generate_subject(cfg)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "generate_subject hung after the source error"
+        assert [str(e) for e in raised] == ["filter failed"]
+        assert threading.active_count() == before
