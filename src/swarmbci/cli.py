@@ -6,6 +6,7 @@ import argparse
 import collections
 import contextlib
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
@@ -339,5 +340,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_main() -> int:
+    """The ``swarmbci`` command: ``main``, then an exit without the final GC pass.
+
+    ``gc.freeze`` moves every object to the permanent generation, so interpreter
+    shutdown does not walk the ~70k objects that SciPy's import leaves behind.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -115,7 +115,9 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
     sums = np.zeros((len(EVENT_CODES) * 2, scatters.shape[1]))  # 2c: rest of class c, 2c + 1: c
     for i, trace, in_class in zip(rows, traces, is_pos):
         sums[2 * np.arange(len(EVENT_CODES)) + in_class] += scatters[i] / trace
-    sums = next(unpacked(sums))  # exactly symmetric, as the full matrices' sums were
+    # Exactly symmetric, as the full matrices' sums were. Each block is copied out:
+    # ``unpacked`` reuses one buffer, which holds fewer than 8 rows if _BLOCK_ROWS < 8.
+    sums = np.concatenate([b.copy() for b in unpacked(sums)])
     if np.any(few := is_pos.sum(axis=0) < 2):
         raise ValueError(f"class {EVENT_CODES[np.argmax(few)]} needs at least 2 training trials")
     csp_models = [fit_csp_matrices(sums[2 * c + 1] / pos.sum(), sums[2 * c] / (~pos).sum(),

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,8 +275,11 @@ def save_recording(rec: Recording, path) -> str:
     """Write ``rec`` to ``path`` in NSR format; return the file's sha256 hex digest.
 
     Invariants are re-validated before any byte is written. The sample-major
-    payload is transposed, written and hashed one block of frames at a time,
-    so the memory used beyond ``rec.data`` does not grow with the recording.
+    payload is transposed and written one block of frames at a time, in two
+    blocks that alternate: while this thread transposes and writes one block,
+    one helper thread hashes the block before it (``hashlib`` releases the GIL).
+    The hash sees the file's bytes in order, and the memory used beyond
+    ``rec.data`` does not grow with the recording.
     """
     if not isinstance(rec, Recording):
         raise TypeError("save_recording expects a Recording")
@@ -294,14 +298,20 @@ def save_recording(rec: Recording, path) -> str:
     }
     head = MAGIC + b"\n" + json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
     digest = hashlib.sha256(head)
-    block = np.empty((_WRITE_BLOCK_FRAMES, rec.n_channels), dtype="<f4")
-    with open(path, "wb") as fh:
+    blocks = np.empty((2, _WRITE_BLOCK_FRAMES, rec.n_channels), dtype="<f4")
+    with open(path, "wb") as fh, ThreadPoolExecutor(max_workers=1) as pool:
         fh.write(head)
-        for start in range(0, rec.n_samples, _WRITE_BLOCK_FRAMES):
-            frames = block[:min(_WRITE_BLOCK_FRAMES, rec.n_samples - start)]
+        hashed = None  # the update of the block written last
+        for k, start in enumerate(range(0, rec.n_samples, _WRITE_BLOCK_FRAMES)):
+            # This block's previous update, two blocks ago, returned before the last submit.
+            frames = blocks[k % 2, :min(_WRITE_BLOCK_FRAMES, rec.n_samples - start)]
             np.copyto(frames, rec.window(start, start + len(frames)).T)
             fh.write(frames)
-            digest.update(frames)
+            if hashed is not None:
+                hashed.result()
+            hashed = pool.submit(digest.update, frames)
+        if hashed is not None:
+            hashed.result()
     return digest.hexdigest()
 
 

@@ -11,6 +11,7 @@ statistically identical, so downstream accuracy sits at chance.
 from __future__ import annotations
 
 import math
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from swarmbci.recording import (
 #: Band the latent sources occupy, matching the decoding passband.
 SOURCE_BAND_HZ = (8.0, 30.0)
 _SOURCE_FILTER_ORDER = 4
-_MIX_BLOCK = 16384  # frames of the mixing product added to the data at a time
+_MIX_BLOCK = 16384  # frames of one row's mixing product added to the data at a time
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,14 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
     One helper thread makes every draw, in stream order: the mixing normals,
     the label shuffle and the sources, then the noise, straight into the
     data rows. Meanwhile this thread designs the source filter (the first
-    design imports SciPy) and filters the sources. The noise stops at row
-    ``n_channels - 3 * n_sources`` until the float64 sources are freed, so
-    the peak memory does not depend on which thread runs ahead. The result
-    equals the single-threaded ``mix @ sources + noise`` bit for bit.
+    design imports SciPy) and filters the sources, then finishes each noise
+    row as soon as it is drawn: it scales the row and adds the row's mixing
+    product, one column block at a time, so only the last row's finish
+    follows the draws. The noise stops at row ``n_channels - 3 * n_sources``
+    until the float64 sources are freed, so the peak memory does not depend
+    on which thread runs ahead. An error on either thread stops the other
+    before the next row and is raised here. The result equals the
+    single-threaded ``mix @ sources + noise`` bit for bit.
     """
     if subject_id is None:
         subject_id = f"synth-{cfg.seed}"
@@ -101,7 +106,8 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
     # their std's temporary (as many) live, at most gate + 4 n_sources rows are held,
     # the sequential peak of n_channels data rows plus n_sources float32 source rows.
     gate = max(0, cfg.n_channels - 3 * cfg.n_sources)
-    sources_freed = threading.Event()
+    sources_freed, stop = threading.Event(), threading.Event()
+    drawn_rows = queue.SimpleQueue()  # each noise row once drawn, then None when the helper ends
 
     # The helper makes a single-threaded run's draws, in its order. It calls only
     # Generator and NumPy functions: bench/tracer.py keeps one span stack per process.
@@ -112,11 +118,16 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
         return g, labels, rng.standard_normal((cfg.n_sources, total))
 
     def draw_noise():
-        for ch in range(cfg.n_channels):
-            if ch == gate:
-                sources_freed.wait()
-            rng.standard_normal(dtype=np.float32, out=data[ch])
-            data[ch] *= cfg.noise_floor
+        try:
+            for ch in range(cfg.n_channels):
+                if ch == gate:
+                    sources_freed.wait()
+                if stop.is_set():
+                    return
+                rng.standard_normal(dtype=np.float32, out=data[ch])
+                drawn_rows.put(ch)
+        finally:
+            drawn_rows.put(None)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         drawn, noise = pool.submit(draw_sources), pool.submit(draw_noise)
@@ -143,15 +154,23 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
 
             src32 = sources.astype(np.float32)
             del sources
+            sources_freed.set()
+
+            # One row's column blocks of the mixing product give the full sgemm's sums
+            # bit for bit; float32 addition commutes, so noise + product is product + noise.
+            mix32 = mix.astype(np.float32)
+            for ch in range(cfg.n_channels):
+                if drawn_rows.get() is None:
+                    noise.result()  # the helper ended early: raise its error
+                row = data[ch:ch + 1]  # 2-D: a 1-row matrix product is twice a vector's speed
+                row *= cfg.noise_floor
+                for a in range(0, total, _MIX_BLOCK):
+                    row[:, a:a + _MIX_BLOCK] += mix32[ch:ch + 1] @ src32[:, a:a + _MIX_BLOCK]
+        except BaseException:
+            stop.set()  # before the gate opens, so the helper draws no further row
+            raise
         finally:
             sources_freed.set()
-        noise.result()
-
-    # Column blocks of the mixing product give the full sgemm's sums bit for bit;
-    # float32 addition commutes, so noise + product is product + noise.
-    mix32 = mix.astype(np.float32)
-    for a in range(0, total, _MIX_BLOCK):
-        data[:, a:a + _MIX_BLOCK] += mix32 @ src32[:, a:a + _MIX_BLOCK]
 
     layout = (ChannelLayout.default_64() if cfg.n_channels == 64
               else ChannelLayout.generic(cfg.n_channels))

@@ -404,6 +404,24 @@ def test_simulate_loads_no_scipy(tmp_path, statement):
     assert proc.stdout == "[]\n"
 
 
+def test_console_main_freezes_the_heap_after_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.console_main() == 3
+    assert calls == ["main", "freeze"]
+
+
+@pytest.mark.parametrize("sequence, code", [("4,1", 0), ("9", 1)])
+def test_module_run_exits_with_mains_code(tmp_path, sequence, code):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "swarmbci.cli", "simulate", "--out", "sim",
+                           "--sequence", sequence], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "sim" / "metrics.json").exists() == (code == 0)
+
+
 class TestPipeline:
     @pytest.fixture
     def pipeline_out(self, tmp_path, config_path, subject_dir):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from swarmbci import csp
 from swarmbci.config import RunConfig
 from swarmbci.csp import VARIANCE_FLOOR, CspModel, fit_csp_matrices, trial_scatter, unpacked
 from swarmbci.decode import DecoderModel, LdaModel, fit_decoder, fit_lda, predict
@@ -270,6 +271,28 @@ class TestFitDecoder:
                 assert csp_a.selected == csp_b.selected
                 np.testing.assert_array_equal(lda_a.weights, lda_b.weights)
                 assert lda_a.bias == lda_b.bias
+
+    @pytest.mark.parametrize("block_rows", [3, 4])
+    @pytest.mark.parametrize("mode", ["plain", "normalized"])
+    def test_blocks_of_fewer_than_8_rows_give_the_default_model(self, monkeypatch, block_rows,
+                                                               mode):
+        # The 8 class sums span more than one block of unpacked rows.
+        rng = np.random.default_rng(block_rows)
+        x = rng.standard_normal((48, 9, 40))
+        scatters = np.stack([trial_scatter(t) for t in x])
+        labels = rng.permutation(np.arange(48) % 4 + 1)
+        cfg = RunConfig(n_pairs=2, log_variance_mode=mode)
+        train = stratified_kfold(labels, 4, seed=0) != 0
+        default = fit_decoder(scatters, labels, 40, cfg, train=train)
+        monkeypatch.setattr(csp, "_BLOCK_ROWS", block_rows)
+        small = fit_decoder(scatters, labels, 40, cfg, train=train)
+        for code in EVENT_CODES:
+            (csp_a, lda_a), (csp_b, lda_b) = small.per_class[code], default.per_class[code]
+            np.testing.assert_array_equal(csp_a.w, csp_b.w)
+            np.testing.assert_array_equal(csp_a.eigenvalues, csp_b.eigenvalues)
+            assert csp_a.selected == csp_b.selected
+            np.testing.assert_array_equal(lda_a.weights, lda_b.weights)
+            assert lda_a.bias == lda_b.bias
 
     @pytest.mark.parametrize("shape", [(300, 64, 250), (20, 64, 4000), (90, 7, 40)])
     def test_traces_of_the_unpacked_rows_equal_np_trace_bit_for_bit(self, shape):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,49 @@ class TestNsrFormat:
 BLOCK = recording._WRITE_BLOCK_FRAMES
 
 
+def single_threaded_save_recording(rec, path):
+    """``save_recording`` with one block, hashed on this thread, as it was before the
+    hashing thread. Kept as the reference that the threaded writer must equal."""
+    header = {
+        "subject_id": rec.subject_id,
+        "sampling_rate_hz": rec.sampling_rate_hz,
+        "channels": list(rec.layout.names),
+        "notch_hz": rec.notch_applied_hz,
+        "markers": [[m.sample_index, m.event_code] for m in rec.markers],
+        "n_samples": rec.n_samples,
+    }
+    head = recording.MAGIC + b"\n" + json.dumps(header, separators=(",", ":")).encode() + b"\n"
+    digest = hashlib.sha256(head)
+    block = np.empty((BLOCK, rec.n_channels), dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for start in range(0, rec.n_samples, BLOCK):
+            frames = block[:min(BLOCK, rec.n_samples - start)]
+            np.copyto(frames, rec.window(start, start + len(frames)).T)
+            fh.write(frames)
+            digest.update(frames)
+    return digest.hexdigest()
+
+
+class FailingFile:
+    """A binary file whose payload writes raise ``OSError`` after ``n_ok`` of them."""
+
+    def __init__(self, path, n_ok):
+        self._fh, self._writes, self._n_ok = open(path, "wb"), 0, n_ok
+
+    def write(self, data):
+        if self._writes > self._n_ok:  # the first write is the header
+            raise OSError(28, "No space left on device")
+        self._writes += 1
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
 class TestBlockedWriter:
     """``save_recording`` writes and hashes the payload one block of frames at a time."""
 
@@ -146,32 +190,63 @@ class TestBlockedWriter:
         digest = save_recording(rec, path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    @pytest.mark.parametrize("n_samples", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 3])
+    def test_bytes_and_digest_equal_the_single_threaded_writer(self, tmp_path, n_samples):
+        rec = make_recording(n_channels=5, n_samples=n_samples, markers=[(0, 3)],
+                             seed=n_samples)
+        before = threading.active_count()
+        digest = save_recording(rec, tmp_path / "threaded.nsr")
+        assert threading.active_count() == before
+        expected = single_threaded_save_recording(rec, tmp_path / "reference.nsr")
+        assert digest == expected
+        assert (tmp_path / "threaded.nsr").read_bytes() == (tmp_path / "reference.nsr").read_bytes()
 
+    def test_write_error_mid_file_is_raised_and_the_thread_ends(self, tmp_path, monkeypatch):
+        # Two payload blocks are written; the third write fails while the second is hashed.
+        monkeypatch.setattr(recording, "open", lambda path, mode: FailingFile(path, 2),
+                            raising=False)
+        rec = make_recording(n_channels=3, n_samples=4 * BLOCK)
+        before = threading.active_count()
+        with pytest.raises(OSError, match="No space left"):
+            save_recording(rec, tmp_path / "full.nsr")
+        assert threading.active_count() == before
+        written = (tmp_path / "full.nsr").read_bytes()
+        single_threaded_save_recording(rec, tmp_path / "reference.nsr")
+        reference = (tmp_path / "reference.nsr").read_bytes()
+        assert len(written) == len(reference) - 2 * BLOCK * 3 * 4
+        assert reference.startswith(written)
+
+
+#: Run in a fresh interpreter: the rise of the peak RSS over one save. The peak is
+#: VmHWM, the new process's own: ``ru_maxrss`` starts at the forking parent's peak.
 _SAVE_RSS_CHILD = textwrap.dedent("""
-    import resource, sys
+    import re, sys
     import numpy as np
     from swarmbci.recording import ChannelLayout, Recording, save_recording
 
+    def peak_kib():
+        with open("/proc/self/status") as fh:
+            return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+
     data = np.random.default_rng(0).standard_normal((64, 400_000), dtype=np.float32)
     rec = Recording("rss", 1000.0, ChannelLayout.default_64(), data)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    before = peak_kib()
     save_recording(rec, sys.argv[1])
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    print(peak_kib() - before)
 """)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
 def test_save_memory_does_not_grow_with_the_payload(tmp_path):
     """Saving a 102 MB recording raises the peak RSS by < 0.25x the payload.
 
     A whole-array transpose plus ``tobytes`` raises it by about 2x.
     """
-    pytest.importorskip("resource")
     src = str(Path(recording.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _SAVE_RSS_CHILD, str(tmp_path / "m.nsr")],
                          capture_output=True, text=True, check=True, timeout=300,
                          env={**os.environ, "PYTHONPATH": src})
-    # ru_maxrss is in KiB on Linux, in bytes on macOS.
-    rise = int(out.stdout) * (1 if sys.platform == "darwin" else 1024)
+    rise = int(out.stdout) * 1024
     payload = 64 * 400_000 * 4
     assert rise < 0.25 * payload, f"peak RSS rose {rise / 1e6:.1f} MB saving {payload / 1e6:.1f} MB"
 

@@ -86,6 +86,53 @@ def slowed_filter(delay_s):
     return slow
 
 
+class CountingGenerator:
+    """A seeded ``Generator`` that counts the rows drawn into ``out=`` and can fail at one."""
+
+    def __init__(self, seed, fail_at_row=None):
+        self._rng = np.random.Generator(np.random.PCG64(seed))  # as default_rng(seed) makes
+        self.rows, self._fail_at_row = 0, fail_at_row
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        if out is not None:
+            if self.rows == self._fail_at_row:
+                raise RuntimeError("draw failed")
+            self.rows += 1
+        return self._rng.standard_normal(*args, out=out, **kwargs)
+
+
+def counting_generators(monkeypatch, fail_at_row=None):
+    """Make ``np.random.default_rng`` return ``CountingGenerator``s; the list of those made."""
+    made = []
+
+    def default_rng(seed):
+        made.append(CountingGenerator(seed, fail_at_row))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made
+
+
+def raised_in_a_caller(call):
+    """Run ``call`` in a thread joined within 60 s: the exceptions it raised."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except Exception as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the call hung"
+    return raised
+
+
 class TestPatternMatrix:
     def test_rows_orthogonal(self):
         p = pattern_matrix(8)
@@ -271,6 +318,22 @@ class TestDrawThread:
             blocked[:, a:a + synth._MIX_BLOCK] += mix @ sources[:, a:a + synth._MIX_BLOCK]
         np.testing.assert_array_equal(blocked, mix @ sources + noise)
 
+    @pytest.mark.parametrize("group", [1, 7, 16, 64])
+    def test_mixing_in_row_groups_equals_the_64_row_blocks(self, group):
+        # generate_subject finishes one row at a time: a 1-row product of each column block.
+        rng = np.random.default_rng(group)
+        mix = rng.standard_normal((64, 8)).astype(np.float32)
+        sources = rng.standard_normal((8, 2 * synth._MIX_BLOCK + 100), dtype=np.float32)
+        noise = rng.standard_normal((64, sources.shape[1]), dtype=np.float32)
+        blocked, grouped = noise.copy(), noise.copy()
+        for a in range(0, sources.shape[1], synth._MIX_BLOCK):
+            blocked[:, a:a + synth._MIX_BLOCK] += mix @ sources[:, a:a + synth._MIX_BLOCK]
+        for r in range(0, 64, group):
+            for a in range(0, sources.shape[1], synth._MIX_BLOCK):
+                grouped[r:r + group, a:a + synth._MIX_BLOCK] += (
+                    mix[r:r + group] @ sources[:, a:a + synth._MIX_BLOCK])
+        np.testing.assert_array_equal(grouped.view(np.uint32), blocked.view(np.uint32))
+
     @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
     def test_peak_memory_does_not_depend_on_the_thread_timing(self):
         # With the sources slowed, noise drawn past the gate row would be held beside
@@ -293,20 +356,30 @@ class TestDrawThread:
             raise RuntimeError("filter failed")
 
         monkeypatch.setattr(synth, "filter_channels", fail)
+        made = counting_generators(monkeypatch)
         cfg = SynthConfig(n_channels=64, fs_hz=250.0, trials_per_class=3,
                           timing=SMALL_TIMING, seed=1)
         before = threading.active_count()
-        raised = []
-
-        def run():
-            try:
-                generate_subject(cfg)
-            except RuntimeError as exc:
-                raised.append(exc)
-
-        caller = threading.Thread(target=run, daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive(), "generate_subject hung after the source error"
+        raised = raised_in_a_caller(lambda: generate_subject(cfg))
         assert [str(e) for e in raised] == ["filter failed"]
+        assert threading.active_count() == before
+        # The helper stops before the gate row rather than drawing every row.
+        assert made[0].rows < cfg.n_channels
+
+    def test_draw_error_is_raised_while_the_rows_are_finished(self, monkeypatch):
+        # The helper fails two rows past the gate (40 of 64), once the sources are freed.
+        made = counting_generators(monkeypatch, fail_at_row=42)
+        cfg = SynthConfig(n_channels=64, fs_hz=250.0, trials_per_class=3,
+                          timing=SMALL_TIMING, seed=1)
+        before = threading.active_count()
+        raised = raised_in_a_caller(lambda: generate_subject(cfg))
+        assert [str(e) for e in raised] == ["draw failed"]
+        assert threading.active_count() == before
+        assert made[0].rows == 42
+
+    def test_no_thread_outlives_a_call(self):
+        cfg = SynthConfig(n_channels=16, fs_hz=250.0, trials_per_class=3,
+                          timing=SMALL_TIMING, seed=2)
+        before = threading.active_count()
+        generate_subject(cfg)
         assert threading.active_count() == before
