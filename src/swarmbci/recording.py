@@ -123,8 +123,9 @@ class ParadigmTiming:
 
     def __post_init__(self):
         for name in ("rest_s", "cue_s", "fixation_s", "imagery_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def imagery_len(self, fs: float) -> int:
         """Samples in one imagery window (one trial) at ``fs``."""

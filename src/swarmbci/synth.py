@@ -11,8 +11,6 @@ statistically identical, so downstream accuracy sits at chance.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -82,23 +80,26 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
     noise derive from a single generator seeded with ``cfg.seed``.
 
     One helper thread makes every draw, in stream order: the mixing normals,
-    the label shuffle and the sources, then the noise, straight into the
-    data rows. Meanwhile this thread designs the source filter (the first
+    the label shuffle and the sources, then each noise row, straight into
+    its data row. Meanwhile this thread designs the source filter (the first
     design imports SciPy) and filters the sources, then finishes each noise
     row as soon as it is drawn: it scales the row and adds the row's mixing
     product, one column block at a time, so only the last row's finish
-    follows the draws. The noise stops at row ``n_channels - 3 * n_sources``
-    until the float64 sources are freed, so the peak memory does not depend
-    on which thread runs ahead. An error on either thread stops the other
-    before the next row and is raised here. The result equals the
-    single-threaded ``mix @ sources + noise`` bit for bit.
+    follows the draws. The rows from ``n_channels - 3 * n_sources`` on are
+    handed to the helper only once the float64 sources are freed, so the
+    peak memory does not depend on which thread runs ahead. An error here
+    cancels every row not yet started, and before the sources are freed no
+    row past that gate is drawn at all. A failed draw is raised here when its
+    row is reached; the helper may first try the other rows handed to it so
+    far. The result equals the single-threaded ``mix @ sources + noise`` bit
+    for bit.
     """
     if subject_id is None:
         subject_id = f"synth-{cfg.seed}"
     rng = np.random.default_rng(cfg.seed)
     fs = cfg.fs_hz
     gap = int(round((cfg.timing.rest_s + cfg.timing.cue_s + cfg.timing.fixation_s) * fs))
-    t_len = int(round(cfg.timing.imagery_s * fs))
+    t_len = cfg.timing.imagery_len(fs)
     n_trials = 4 * cfg.trials_per_class
     total = n_trials * (gap + t_len)
     data = np.empty((cfg.n_channels, total), dtype=np.float32)
@@ -106,31 +107,22 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
     # their std's temporary (as many) live, at most gate + 4 n_sources rows are held,
     # the sequential peak of n_channels data rows plus n_sources float32 source rows.
     gate = max(0, cfg.n_channels - 3 * cfg.n_sources)
-    sources_freed, stop = threading.Event(), threading.Event()
-    drawn_rows = queue.SimpleQueue()  # each noise row once drawn, then None when the helper ends
 
-    # The helper makes a single-threaded run's draws, in its order. It calls only
-    # Generator and NumPy functions: bench/tracer.py keeps one span stack per process.
+    # The helper makes a single-threaded run's draws, in its order: one worker runs
+    # the tasks as submitted. They call only Generator and NumPy functions:
+    # bench/tracer.py keeps one span stack per process.
     def draw_sources():
         g = rng.standard_normal((cfg.n_channels, cfg.n_sources))
         labels = np.repeat(np.arange(1, 5), cfg.trials_per_class)
         rng.shuffle(labels)
         return g, labels, rng.standard_normal((cfg.n_sources, total))
 
-    def draw_noise():
-        try:
-            for ch in range(cfg.n_channels):
-                if ch == gate:
-                    sources_freed.wait()
-                if stop.is_set():
-                    return
-                rng.standard_normal(dtype=np.float32, out=data[ch])
-                drawn_rows.put(ch)
-        finally:
-            drawn_rows.put(None)
+    def draw_row(ch):
+        rng.standard_normal(dtype=np.float32, out=data[ch])
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        drawn, noise = pool.submit(draw_sources), pool.submit(draw_noise)
+        drawn = pool.submit(draw_sources)
+        rows = [pool.submit(draw_row, ch) for ch in range(gate)]
         try:
             band = design_bandpass(SOURCE_BAND_HZ[0], SOURCE_BAND_HZ[1],
                                    _SOURCE_FILTER_ORDER, fs)
@@ -154,23 +146,20 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
 
             src32 = sources.astype(np.float32)
             del sources
-            sources_freed.set()
+            rows += [pool.submit(draw_row, ch) for ch in range(gate, cfg.n_channels)]
 
             # One row's column blocks of the mixing product give the full sgemm's sums
             # bit for bit; float32 addition commutes, so noise + product is product + noise.
             mix32 = mix.astype(np.float32)
             for ch in range(cfg.n_channels):
-                if drawn_rows.get() is None:
-                    noise.result()  # the helper ended early: raise its error
+                rows[ch].result()
                 row = data[ch:ch + 1]  # 2-D: a 1-row matrix product is twice a vector's speed
                 row *= cfg.noise_floor
                 for a in range(0, total, _MIX_BLOCK):
                     row[:, a:a + _MIX_BLOCK] += mix32[ch:ch + 1] @ src32[:, a:a + _MIX_BLOCK]
-        except BaseException:
-            stop.set()  # before the gate opens, so the helper draws no further row
-            raise
         finally:
-            sources_freed.set()
+            for future in rows:
+                future.cancel()  # a row not yet started is never drawn
 
     layout = (ChannelLayout.default_64() if cfg.n_channels == 64
               else ChannelLayout.generic(cfg.n_channels))

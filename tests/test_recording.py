@@ -450,6 +450,14 @@ class TestRecordingInvariants:
             EventMarker(0, 5)
 
 
+class TestParadigmTiming:
+    def test_durations_must_be_finite_and_positive(self):
+        for name in ("rest_s", "cue_s", "fixation_s", "imagery_s"):
+            for value in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value}$"):
+                    ParadigmTiming(**{name: value})
+
+
 class TestExtractTrials:
     def test_window_arithmetic(self):
         rec = make_recording(n_channels=2, n_samples=15000, fs=1000.0,

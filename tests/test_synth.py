@@ -183,15 +183,17 @@ class TestGenerateSubject:
         b = generate_subject(SynthConfig(seed=2, **base))
         assert a != b
 
-    def test_zero_separability_leaves_sources_unscaled(self):
-        # With separability 0 the per-class scale factors are all 1, so
-        # regenerating with relabeled trials gives identical data.
+    def test_zero_separability_leaves_sources_unscaled(self, monkeypatch):
+        # The reference scales no trial: separability 0.9 with an all-zero pattern.
+        # Unpatched, 0.9 does scale them, so the reference can tell the two apart.
         base = dict(n_channels=8, fs_hz=250, trials_per_class=4,
                     timing=SMALL_TIMING, seed=9)
-        a = generate_subject(SynthConfig(separability=0.0, **base))
-        rng = np.random.default_rng(9)  # same label shuffle comes from the seed
-        b = generate_subject(SynthConfig(separability=0.0, **base))
-        np.testing.assert_array_equal(a.data, b.data)
+        zero = generate_subject(SynthConfig(separability=0.0, **base))
+        scaled = generate_subject(SynthConfig(separability=0.9, **base))
+        monkeypatch.setattr(synth, "pattern_matrix", lambda n_sources: np.zeros((4, n_sources)))
+        unscaled = generate_subject(SynthConfig(separability=0.9, **base))
+        np.testing.assert_array_equal(zero.data.view(np.uint32), unscaled.data.view(np.uint32))
+        assert not np.array_equal(scaled.data, unscaled.data)
 
     def test_markers_at_imagery_onsets(self):
         cfg = SynthConfig(n_channels=8, fs_hz=250, trials_per_class=2,
@@ -376,6 +378,17 @@ class TestDrawThread:
         assert [str(e) for e in raised] == ["draw failed"]
         assert threading.active_count() == before
         assert made[0].rows == 42
+
+    def test_draw_error_before_the_gate_is_raised_and_the_thread_ends(self, monkeypatch):
+        # The helper fails at row 5 of 64, before the gate row (40): raised once row 5 is reached.
+        made = counting_generators(monkeypatch, fail_at_row=5)
+        cfg = SynthConfig(n_channels=64, fs_hz=250.0, trials_per_class=3,
+                          timing=SMALL_TIMING, seed=1)
+        before = threading.active_count()
+        raised = raised_in_a_caller(lambda: generate_subject(cfg))
+        assert [str(e) for e in raised] == ["draw failed"]
+        assert threading.active_count() == before
+        assert made[0].rows == 5
 
     def test_no_thread_outlives_a_call(self):
         cfg = SynthConfig(n_channels=16, fs_hz=250.0, trials_per_class=3,
