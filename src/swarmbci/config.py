@@ -50,12 +50,12 @@ class RunConfig:
 def dataclass_from_dict(cls, d, what: str, source: str = ""):
     """``cls(**d)`` from a JSON object, rejecting unknown keys and mistyped or non-finite values.
 
-    A value must have the JSON type of its field's default: a list for a
-    tuple (converted to one), an object for a nested dataclass (parsed by
-    this function), an int or a float for a float, and the very type
-    otherwise, so a bool never passes for a number. Every float must be
-    finite. Errors name a key ``what.key`` (``key`` if ``what`` is empty),
-    and ``d`` itself by ``what`` or else ``source``.
+    A value must have the JSON type of its field's default: a list of as
+    many items for a tuple (converted to one), an object for a nested
+    dataclass (parsed by this function), an int or a float for a float, and
+    the very type otherwise, so a bool never passes for a number. Every
+    float must be finite. Errors name a key ``what.key`` (``key`` if
+    ``what`` is empty), and ``d`` itself by ``what`` or else ``source``.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what or source} must be a JSON object, got {type(d).__name__}")
@@ -70,6 +70,8 @@ def dataclass_from_dict(cls, d, what: str, source: str = ""):
         if is_dataclass(default):
             value = dataclass_from_dict(type(default), value, name)
         elif isinstance(default, tuple) and isinstance(value, list):
+            if len(value) != len(default):
+                raise ValueError(f"{name} must be a list of {len(default)} items, got {value!r}")
             value = tuple(value)
         if not json_type_matches(value, default):
             raise ValueError(f"{name} must be {type(default).__name__}, got {value!r}")

@@ -41,12 +41,14 @@ class CspModel:
 
 
 @lru_cache
-def _triangle(n_ch: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the C x C upper triangle, and of each matrix entry in a packed row."""
+def _triangle(n_ch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions of the C x C upper triangle; positions in a packed row of each matrix
+    entry and of the diagonal."""
     upper = np.triu_indices(n_ch)
     index = np.zeros((n_ch, n_ch), dtype=np.intp)
     index[upper] = np.arange(len(upper[0]))
-    return np.ravel_multi_index(upper, index.shape), np.maximum(index, index.T).ravel()
+    return (np.ravel_multi_index(upper, index.shape), np.maximum(index, index.T).ravel(),
+            index.diagonal())
 
 
 def trial_scatter(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -62,30 +64,29 @@ def trial_scatter(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 
 
 def _packed_channels(packed: np.ndarray) -> int:
+    if packed.ndim != 2:
+        raise ValueError(f"packed scatters must be an (n, C(C+1)/2) stack, not of shape "
+                         f"{packed.shape}")
     if (n_ch := int(np.sqrt(2 * packed.shape[1]))) * (n_ch + 1) // 2 != packed.shape[1]:
         raise ValueError(f"packed scatters have C(C+1)/2 values a row, not {packed.shape[1]}")
     return n_ch
 
 
-def unpack_buffer(packed: np.ndarray, n_rows: int) -> np.ndarray:
-    """A buffer in which ``unpacked`` unpacks ``n_rows`` rows of ``packed``, block by block.
-
-    Passes over one stack can share it. A buffer allocated per pass was mapped and
-    faulted in afresh each time (512 KB at 64 channels).
-    """
-    n_ch = _packed_channels(packed)
-    return np.empty((min(n_rows, _BLOCK_ROWS), n_ch * n_ch))
+def packed_traces(packed: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The trace of each packed row in ``rows``: its C diagonal values, summed as ``np.trace``
+    sums a full matrix's diagonal (one 1-D sum a row), so the two agree bit for bit."""
+    diagonals = packed[np.ix_(rows, _triangle(_packed_channels(packed))[2])]
+    return np.array([d.sum() for d in diagonals])
 
 
-def unpacked(packed: np.ndarray, rows: np.ndarray | None = None,
-             out: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """The (b, C, C) matrices of the packed ``rows`` (all if None), in one reused buffer.
+def unpacked(packed: np.ndarray, rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The (b, C, C) matrices of the packed ``rows`` (all if None), ``_BLOCK_ROWS`` at a time.
 
-    ``out`` is that buffer, from ``unpack_buffer`` for as many rows (a new one if None).
+    Every block is unpacked into one buffer, which the next block overwrites.
     """
     n_ch = _packed_channels(packed)
     rows = np.arange(len(packed)) if rows is None else rows
-    full = unpack_buffer(packed, len(rows)) if out is None else out
+    full = np.empty((min(len(rows), _BLOCK_ROWS), n_ch * n_ch))
     for start in range(0, len(rows), _BLOCK_ROWS):
         # mode="clip": under the default "raise", NumPy takes into a temporary copy of out.
         block = np.take(packed[rows[start:start + _BLOCK_ROWS]], _triangle(n_ch)[1], axis=1,
@@ -127,23 +128,21 @@ def fit_csp_matrices(c_pos: np.ndarray, c_neg: np.ndarray,
     return CspModel(w, lam, selected)
 
 
-def features_from_scatter(models: Sequence[CspModel], scatter: np.ndarray, n_samples: int,
-                          mode: str, rows: np.ndarray | None = None,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """Log-variance features of each model from one packed scatter or an (n, C(C+1)/2) stack.
+def features_from_scatter(models: Sequence[CspModel], scatters: np.ndarray, n_samples: int,
+                          mode: str, rows: np.ndarray | None = None) -> np.ndarray:
+    """Log-variance features of each model from an (n, C(C+1)/2) stack of packed scatters.
 
     Rows are packed as by ``trial_scatter``; only the stack rows ``rows`` (all if None) are
-    unpacked, once for all models, in ``out`` if given (see ``unpacked``).
+    unpacked, once for all models (see ``unpacked``).
     var(w^T X) == w^T (Xc Xc^T / T) w, so features only need the scatter. Returns
-    ``2 * n_pairs`` features per model and trial: (models, 2 n_pairs) for one row,
-    (models, rows, 2 n_pairs) for a stack. ``mode`` "plain" takes log of raw variances;
-    "normalized" divides by the sum of the selected variances first.
+    ``2 * n_pairs`` features per model and row, of shape (models, rows, 2 n_pairs).
+    ``mode`` "plain" takes log of raw variances; "normalized" divides by the sum of the
+    selected variances first.
     """
     w = np.stack([m.w[:, list(m.selected)] for m in models])[:, None]  # (model, 1, C, 2 n_pairs)
     # Each block's projection p is multiplied in place: no second temporary of its size.
     variances = np.concatenate([np.sum(np.multiply(p := b @ w, w, out=p), axis=-2) / n_samples
-                                for b in unpacked(np.atleast_2d(scatter), rows, out)],
-                               axis=1)
+                                for b in unpacked(scatters, rows)], axis=1)
     if np.any(variances < VARIANCE_FLOOR):
         warnings.warn("zero-variance CSP projection clamped", RuntimeWarning, stacklevel=2)
         variances = np.maximum(variances, VARIANCE_FLOOR)
@@ -152,4 +151,4 @@ def features_from_scatter(models: Sequence[CspModel], scatter: np.ndarray, n_sam
         variances = np.maximum(variances, VARIANCE_FLOOR)
     elif mode != "plain":
         raise ValueError(f"unknown log-variance mode {mode!r}")
-    return np.log(variances)[:, 0] if np.ndim(scatter) == 1 else np.log(variances)
+    return np.log(variances)

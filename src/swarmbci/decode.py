@@ -16,7 +16,7 @@ from swarmbci.csp import (
     CspModel,
     features_from_scatter,
     fit_csp_matrices,
-    unpack_buffer,
+    packed_traces,
     unpacked,
 )
 from swarmbci.recording import EVENT_CODES
@@ -94,7 +94,8 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
     """Fit four class-vs-rest (CSP, LDA) pairs from an (n, C(C+1)/2) stack of packed scatters.
 
     Rows are packed in ``np.triu_indices(C)`` order (see ``csp.trial_scatter``). ``train``
-    masks the rows to fit on (all if None); only those are unpacked, and none is copied.
+    masks the rows to fit on (all if None); none is copied. Their traces come from the packed
+    diagonals, so the features are the one pass that unpacks them.
     ``n_samples`` is the trial length the scatters were summed over;
     ``config`` supplies ``n_pairs``, ``shrinkage`` and ``log_variance_mode``.
     """
@@ -104,10 +105,7 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
         raise ValueError(f"train must be a boolean mask of length {n}, got {train.dtype} "
                          f"of shape {train.shape}")
     rows = np.flatnonzero(train)
-    block = unpack_buffer(scatters, len(rows))  # one for both passes over the train rows
-    # np.trace of the unpacked rows: a sum over the packed diagonal rounds differently.
-    traces = np.array([t for m in unpacked(scatters, rows, block)
-                       for t in np.trace(m, axis1=1, axis2=2)])
+    traces = packed_traces(scatters, rows)
     if np.any(degenerate := traces <= 0):
         raise ValueError(f"degenerate trial {rows[np.argmax(degenerate)]}: zero total variance")
     is_pos = labels[rows, None] == np.array(EVENT_CODES)  # (train row, class)
@@ -123,7 +121,7 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
     csp_models = [fit_csp_matrices(sums[2 * c + 1] / pos.sum(), sums[2 * c] / (~pos).sum(),
                                    config.n_pairs) for c, pos in enumerate(is_pos.T)]
     feats = features_from_scatter(csp_models, scatters, n_samples, config.log_variance_mode,
-                                  rows, block)
+                                  rows)
     per_class = {code: (csp_model, fit_lda(f[pos], f[~pos], config.shrinkage))
                  for code, csp_model, f, pos in zip(EVENT_CODES, csp_models, feats, is_pos.T)}
     return DecoderModel(per_class, config.log_variance_mode)
@@ -141,7 +139,8 @@ def predict(model: DecoderModel, scatter: np.ndarray,
         raise ValueError(f"scatter of shape {np.shape(scatter)} does not fit a decoder of "
                          f"{n_channels} channels, which takes packed rows of length {n_values}")
     csp_models, lda_models = zip(*(model.per_class[code] for code in EVENT_CODES))
-    feats = features_from_scatter(csp_models, scatter, n_samples, model.log_variance_mode)
+    feats = features_from_scatter(csp_models, np.asarray(scatter)[None], n_samples,
+                                  model.log_variance_mode)[:, 0]
     scores = {code: lda.score(f) for code, lda, f in zip(EVENT_CODES, lda_models, feats)}
     best = max(EVENT_CODES, key=lambda c: (scores[c], -c))
     return best, scores

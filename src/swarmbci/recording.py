@@ -65,6 +65,11 @@ def _check_markers(markers, n_samples: int) -> None:
         raise ValueError("markers must be sorted ascending by sample_index")
 
 
+def _check_window(start: int, stop: int, n_samples: int) -> None:
+    if not 0 <= start <= stop <= n_samples:
+        raise ValueError(f"window [{start}, {stop}) is not within samples [0, {n_samples})")
+
+
 @dataclass(frozen=True)
 class ChannelLayout:
     """Ordered set of channel labels."""
@@ -128,8 +133,11 @@ class ParadigmTiming:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def imagery_len(self, fs: float) -> int:
-        """Samples in one imagery window (one trial) at ``fs``."""
-        return int(round(self.imagery_s * fs))
+        """Samples in one imagery window (one trial) at ``fs``; ``ValueError`` if none."""
+        if (n := int(round(self.imagery_s * fs))) == 0:
+            raise ValueError(f"imagery_s={self.imagery_s} s at fs={fs} Hz rounds to a trial of "
+                             f"{n} samples")
+        return n
 
 
 @dataclass
@@ -173,8 +181,10 @@ class Recording:
         """Channels x (stop - start) view of samples [start, stop).
 
         ``out`` is not used: the samples are in memory already. It is accepted
-        so that a :class:`RecordingFile` and a Recording are read alike.
+        so that a :class:`RecordingFile` and a Recording are read alike. A window
+        outside the recording raises ``ValueError``.
         """
+        _check_window(start, stop, self.n_samples)
         return self.data[:, start:stop]
 
     def __eq__(self, other) -> bool:
@@ -211,9 +221,11 @@ class RecordingFile:
 
         The samples are read into ``out``, a C-contiguous ``"<f4"`` array of at
         least ``stop - start`` frames of ``n_channels`` samples (sample-major, as
-        on disk), or into a new array; the result is a view of it. A file that
-        ends before ``stop`` raises :class:`NsrFormatError`.
+        on disk), or into a new array; the result is a view of it. A window outside
+        ``[0, n_samples)`` raises ``ValueError``; a file that ends before ``stop``
+        (it shrank after it was opened) raises :class:`NsrFormatError`.
         """
+        _check_window(start, stop, self.n_samples)
         n_ch = self.layout.count
         frames = np.empty((stop - start, n_ch), "<f4") if out is None else out[:stop - start]
         if frames.shape != (stop - start, n_ch) or frames.dtype != np.dtype("<f4"):

@@ -524,8 +524,13 @@ class TestConfigHandling:
         (["synth", "--out", "data"], '{"synth": {"timing": {"cue_s": -1e400}}}',
          "synth.timing.cue_s"),
         (["simulate", "--out", "sim", "--sequence", "1"], {"swarm": [4]}, "swarm"),
+        (["evaluate", "missing.nsr", "--out", "s.json"], {"run": {"band": [8, 30, 40]}},
+         "run.band"),
+        (["simulate", "--out", "sim", "--sequence", "1"], {"swarm": {"arena": [0, 100, 0]}},
+         "swarm.arena"),
     ], ids=["evaluate", "simulate", "synth", "synth-int-beyond-float", "infinite-arena",
-            "nan-timing", "overflowing-float", "section-not-an-object"])
+            "nan-timing", "overflowing-float", "section-not-an-object", "band-of-3-items",
+            "arena-of-3-items"])
     def test_wrong_value_type_is_an_error_not_a_traceback(self, tmp_path, command, doc, key):
         cfg = tmp_path / "bad.json"
         cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))

@@ -46,7 +46,7 @@ def normalized_covariance(*trials):
 
 
 def features(model, x, mode="plain"):
-    return features_from_scatter([model], trial_scatter(x), x.shape[1], mode)[0]
+    return features_from_scatter([model], trial_scatter(x)[None], x.shape[1], mode)[0, 0]
 
 
 def brute_force_top_eigenvalue(c_pos, c_neg, n_grid=200000, seed=0):
@@ -337,6 +337,10 @@ class TestBatchedFeatures:
         for model, feats in zip(models, together):
             np.testing.assert_array_equal(feats, features_from_scatter([model], stack[rows], 200,
                                                                        mode)[0])
+
+    def test_single_packed_row_refused(self):
+        with pytest.raises(ValueError, match=r"\(n, C\(C\+1\)/2\) stack, not of shape \(36,\)"):
+            features_from_scatter([self._model()], np.zeros(36), 200, "plain")
 
     def test_stack_shape(self):
         model = self._model(n_pairs=2)

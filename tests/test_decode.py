@@ -3,9 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from swarmbci import csp
+from swarmbci import csp, decode
 from swarmbci.config import RunConfig
-from swarmbci.csp import VARIANCE_FLOOR, CspModel, fit_csp_matrices, trial_scatter, unpacked
+from swarmbci.csp import (
+    VARIANCE_FLOOR,
+    CspModel,
+    fit_csp_matrices,
+    packed_traces,
+    trial_scatter,
+    unpacked,
+)
 from swarmbci.decode import DecoderModel, LdaModel, fit_decoder, fit_lda, predict
 from swarmbci.evaluate import stratified_kfold
 from swarmbci.recording import EVENT_CODES, ParadigmTiming, extract_trials
@@ -296,7 +303,8 @@ class TestFitDecoder:
 
     @pytest.mark.parametrize("shape", [(300, 64, 250), (20, 64, 4000), (90, 7, 40)])
     def test_traces_of_the_unpacked_rows_equal_np_trace_bit_for_bit(self, shape):
-        # fit_decoder normalises each train row by np.trace of its unpacked block.
+        # fit_decoder normalises each train row by its packed diagonal's sum, which must equal
+        # np.trace of the full matrix, as the unpacked blocks' traces do.
         rng = np.random.default_rng(shape[0])
         gains = rng.uniform(0.01, 100.0, (shape[0], shape[1], 1)).astype(np.float32)
         x = gains * rng.standard_normal(shape, dtype=np.float32)
@@ -306,6 +314,27 @@ class TestFitDecoder:
         traces = [np.trace(block, axis1=1, axis2=2) for block in unpacked(scatters, rows)]
         np.testing.assert_array_equal(np.concatenate(traces), np.trace(full[rows], axis1=1,
                                                                        axis2=2))
+        np.testing.assert_array_equal(packed_traces(scatters, rows),
+                                      np.trace(full[rows], axis1=1, axis2=2))
+
+    def test_each_train_row_is_unpacked_once(self, monkeypatch):
+        # Only the features unpack the train rows; the 8 class sums are unpacked once more.
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((60, 6, 30))
+        scatters = np.stack([trial_scatter(t) for t in x])
+        labels = rng.permutation(np.arange(60) % 4 + 1)
+        train = stratified_kfold(labels, 5, seed=0) != 0
+        yielded = []
+
+        def counted(*args, **kwargs):
+            for block in unpacked(*args, **kwargs):
+                yielded.append(len(block))
+                yield block
+
+        monkeypatch.setattr(csp, "unpacked", counted)
+        monkeypatch.setattr(decode, "unpacked", counted)
+        fit_decoder(scatters, labels, 30, RunConfig(n_pairs=2), train=train)
+        assert sum(yielded) == train.sum() + 8
 
     def test_train_mask_of_the_wrong_length_names_both_lengths(self):
         scatters = np.stack([packed(np.eye(4))] * 12)

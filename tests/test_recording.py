@@ -403,6 +403,18 @@ class TestRecordingFile:
                                                  r"\[750, 1000\) cut short"):
             src.window(750, 1000, out=frames)
 
+    @pytest.mark.parametrize("start, stop", [(-3, 2), (8, 12), (10, 11), (-1, 0), (6, 5)])
+    def test_window_outside_the_recording_refused_by_both_readers(self, tmp_path, start, stop):
+        rec = make_recording(n_channels=2, n_samples=10, seed=11)
+        save_recording(rec, tmp_path / "r.nsr")
+        for reader in (rec, open_recording(tmp_path / "r.nsr")):
+            with pytest.raises(ValueError, match=re.escape(f"window [{start}, {stop}) is not "
+                                                           "within samples [0, 10)")) as info:
+                reader.window(start, stop)
+            assert not isinstance(info.value, NsrFormatError)
+            np.testing.assert_array_equal(reader.window(0, 10), rec.data)
+            assert reader.window(10, 10).shape == (2, 0)
+
     def test_extract_trials_same_from_file_and_memory(self, tmp_path):
         rec = make_recording(n_channels=3, n_samples=9000, markers=[(0, 1), (4500, 2)])
         path = tmp_path / "r.nsr"
@@ -456,6 +468,12 @@ class TestParadigmTiming:
             for value in (0.0, -1.0, float("nan"), float("inf")):
                 with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value}$"):
                     ParadigmTiming(**{name: value})
+
+    def test_imagery_window_of_no_samples_named(self):
+        assert ParadigmTiming(imagery_s=0.004).imagery_len(250.0) == 1
+        with pytest.raises(ValueError, match=re.escape("imagery_s=0.001 s at fs=250.0 Hz rounds "
+                                                       "to a trial of 0 samples")):
+            ParadigmTiming(imagery_s=0.001).imagery_len(250.0)
 
 
 class TestExtractTrials:

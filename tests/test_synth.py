@@ -241,6 +241,13 @@ class TestGenerateSubject:
             with pytest.raises(ValueError, match="fs_hz"):
                 SynthConfig(fs_hz=fs)
 
+    def test_imagery_window_of_no_samples_named(self):
+        cfg = SynthConfig(n_channels=8, fs_hz=250.0, trials_per_class=2,
+                          timing=ParadigmTiming(imagery_s=0.001), seed=1)
+        with pytest.raises(ValueError, match=r"imagery_s=0\.001 s at fs=250\.0 Hz rounds to a "
+                                             r"trial of 0 samples"):
+            generate_subject(cfg)
+
 
 #: Run in a fresh interpreter: the rise of the peak RSS over one generator call.
 #: Both generators' modules, SciPy included, are imported before it is read. The
