@@ -211,7 +211,7 @@ def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:
                 except ValueError as exc:
                     raise ValueError(f"behaviour {idx} ({name}): {exc}") from exc
                 fname = f"trajectory_{idx:03d}_{name.lower()}.csv"
-                writes.append(writer.submit(_write_trajectory, np.stack(trajectory), out / fname))
+                writes.append(writer.submit(_write_trajectory, trajectory, out / fname))
                 timeline.append({
                     "index": idx,
                     "code": int(code),
@@ -234,7 +234,10 @@ def _sequence_from_args(args) -> list[int]:
     if args.sequence and args.predictions:
         raise ValueError("give either --sequence or --predictions, not both")
     if args.sequence:
-        return [int(tok) for tok in args.sequence.replace(" ", "").split(",") if tok]
+        try:
+            return [int(tok) for tok in args.sequence.replace(" ", "").split(",") if tok]
+        except ValueError as exc:  # int()'s message names the token
+            raise ValueError(f"--sequence: {exc}") from None
     if args.predictions:
         doc = _read_json(args.predictions)
         labels = doc.get("predicted_labels") if isinstance(doc, dict) else None
@@ -297,36 +300,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="swarmbci",
         description="EEG command decoding driving a 2D drone swarm simulator",
     )
+    shared = argparse.ArgumentParser(add_help=False)  # the flags every command takes
+    shared.add_argument("--config", default=None, help="JSON config file")
+    shared.add_argument("--seed", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate synthetic subjects as .nsr files")
-    p.add_argument("--config", default=None, help="JSON config file")
+    p = sub.add_parser("synth", parents=[shared], help="generate synthetic subjects as .nsr files")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--subjects", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("evaluate", help="cross-validate decoders on .nsr recordings")
+    p = sub.add_parser("evaluate", parents=[shared],
+                       help="cross-validate decoders on .nsr recordings")
     p.add_argument("nsr", nargs="+", help="input .nsr files")
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="output GroupSummary JSON path")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("simulate", help="run swarm behaviors to convergence")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("simulate", parents=[shared], help="run swarm behaviors to convergence")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--sequence", default=None, help="comma-separated codes, e.g. 4,3,2,1")
     p.add_argument("--predictions", default=None, help="JSON file with predicted_labels")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("pipeline", help="evaluate one subject and simulate fold-0 predictions")
+    p = sub.add_parser("pipeline", parents=[shared],
+                       help="evaluate one subject and simulate fold-0 predictions")
     p.add_argument("nsr", help="input .nsr file")
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_pipeline)
     return parser
 

@@ -69,9 +69,8 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
     return fold_of_trial
 
 
-def cross_validate(scatters: np.ndarray, labels, n_samples: int, k: int, seed: int,
-                   config: RunConfig) -> CvResult:
-    """Leakage-free stratified k-fold CV of the CSP+LDA decoder.
+def cross_validate(scatters: np.ndarray, labels, n_samples: int, config: RunConfig) -> CvResult:
+    """Leakage-free CV of the CSP+LDA decoder: ``config.k_folds`` folds, dealt by ``config.seed``.
 
     ``scatters`` stacks each trial's scatter over ``n_samples`` samples, packed in
     ``np.triu_indices(C)`` order (see ``csp.trial_scatter``); it does not depend on fold
@@ -79,41 +78,40 @@ def cross_validate(scatters: np.ndarray, labels, n_samples: int, k: int, seed: i
     stack in place, through its train mask: nothing is copied.
     """
     labels = np.asarray(labels)
+    if len(labels) != len(scatters):
+        raise ValueError(f"{len(scatters)} scatters but {len(labels)} labels")
     if len(labels) == 0:
         raise ValueError("cannot cross-validate an empty set of trials")
+    unknown = sorted(set(labels.tolist()) - set(EVENT_CODES))
+    if unknown:
+        raise ValueError(f"labels {unknown} are not event codes {EVENT_CODES}")
     for code in EVENT_CODES:
         if int(np.sum(labels == code)) == 0:
             raise ValueError(f"class {code} is absent from the trials")
 
-    folds = stratified_kfold(labels, k, seed)
-    confusion = np.zeros((4, 4), dtype=int)
-    per_fold_accuracy = []
-    predicted = [0] * len(labels)
-    for fold in range(k):
+    folds = stratified_kfold(labels, config.k_folds, config.seed)
+    predicted = np.empty(len(labels), dtype=int)
+    for fold in range(config.k_folds):
         train_mask = folds != fold
         try:
             model = fit_decoder(scatters, labels, n_samples, config, train=train_mask)
         except ValueError as exc:
             raise ValueError(f"fold {fold}: {exc}") from exc
-        test_idx = np.flatnonzero(~train_mask)
-        hits = 0
-        for i in test_idx:
-            label, _ = predict(model, scatters[i], n_samples)
-            predicted[i] = label
-            confusion[labels[i] - 1, label - 1] += 1
-            hits += int(label == labels[i])
-        per_fold_accuracy.append(hits / len(test_idx))
+        for i in np.flatnonzero(~train_mask):
+            predicted[i] = predict(model, scatters[i], n_samples)[0]
 
-    mean = float(np.mean(per_fold_accuracy))
-    std = float(np.std(per_fold_accuracy))  # population convention
+    hits = predicted == labels
+    per_fold_accuracy = [float(np.mean(hits[folds == fold])) for fold in range(config.k_folds)]
+    confusion = np.zeros((4, 4), dtype=int)
+    np.add.at(confusion, (labels - 1, predicted - 1), 1)
     return CvResult(
         per_fold_accuracy=per_fold_accuracy,
-        mean_accuracy=mean,
-        std_accuracy=std,
+        mean_accuracy=float(np.mean(per_fold_accuracy)),
+        std_accuracy=float(np.std(per_fold_accuracy)),  # population convention
         confusion=confusion.tolist(),
-        seed=seed,
+        seed=config.seed,
         config_fingerprint=config.fingerprint,
-        predicted_labels=predicted,
+        predicted_labels=predicted.tolist(),
         true_labels=labels.tolist(),
         fold_of_trial=folds.tolist(),
     )
@@ -159,8 +157,7 @@ def evaluate_recording(rec: Recording | RecordingFile, config: RunConfig,
                            rec.sampling_rate_hz)
     margin = spec.settle_len if config.filter_stage == "continuous" else 0
     scatters, labels = _scatter_stack(rec, timing, spec, margin)
-    return cross_validate(scatters, labels, timing.imagery_len(rec.sampling_rate_hz),
-                          config.k_folds, config.seed, config)
+    return cross_validate(scatters, labels, timing.imagery_len(rec.sampling_rate_hz), config)
 
 
 def summarize_group(results: dict[str, CvResult]) -> GroupSummary:

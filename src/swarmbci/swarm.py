@@ -16,7 +16,7 @@ import numpy as np
 
 from swarmbci.recording import EVENT_NAMES
 
-BEHAVIORS = ("Hovering", "Splitting", "Dispersing", "Aggregating")
+BEHAVIORS = tuple(EVENT_NAMES.values())
 
 #: Convergence threshold: every drone within this distance of its target.
 CONVERGENCE_TOL_M = 1e-3
@@ -41,8 +41,8 @@ class SwarmConfig:
             raise ValueError("arena bounds must be nonempty")
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.max_speed <= 0:
-            raise ValueError("max_speed must be > 0")
+        if not (np.isfinite(self.max_speed) and self.max_speed > 0):
+            raise ValueError(f"max_speed must be finite and > 0, got {self.max_speed}")
         if not (self.d_split > 2 * self.r_aggregate):
             raise ValueError("d_split must exceed 2 * r_aggregate")
         if not (0 < self.min_separation < self.r_aggregate):
@@ -274,20 +274,19 @@ def converged(state: SwarmState) -> bool:
 
 
 def run_until_converged(state: SwarmState, cfg: SwarmConfig
-                        ) -> tuple[SwarmState, list[np.ndarray], int]:
-    """Step until every drone reaches its target or max_steps elapse.
+                        ) -> tuple[SwarmState, np.ndarray, int]:
+    """Step until every drone reaches its target or ``state.step_count`` reaches max_steps.
 
-    Returns (final state, trajectory snapshots incl. the start, steps
-    taken). Non-convergence is reported by steps == max_steps, not
-    raised.
+    ``max_steps`` counts the steps since the behavior was set (``set_behavior``
+    resets ``step_count`` to 0). Returns (final state, an (S, n, 2) array of the
+    positions from the start to the end, the final ``step_count``). Non-convergence
+    is reported by ``step_count == max_steps``, not raised.
     """
-    trajectory = [state.positions.copy()]
-    steps = 0
-    while not converged(state) and steps < cfg.max_steps:
+    trajectory = [state.positions]  # step never writes to the positions it is given
+    while not converged(state) and state.step_count < cfg.max_steps:
         state = step(state, cfg)
-        trajectory.append(state.positions.copy())
-        steps += 1
-    return state, trajectory, steps
+        trajectory.append(state.positions)
+    return state, np.stack(trajectory), state.step_count
 
 
 def _clusters_single_linkage(points: np.ndarray, cut: float) -> list[np.ndarray]:
@@ -331,9 +330,8 @@ def metrics(state: SwarmState, cfg: SwarmConfig) -> SwarmMetrics:
     return SwarmMetrics(mean_centroid_dist, mean_nn_dist, len(clusters), gap)
 
 
-def save_trajectory_csv(trajectory: list[np.ndarray] | np.ndarray, path) -> None:
-    """Write snapshots (a list of (n, 2) arrays or one (S, n, 2) array) as CSV rows:
-    step,drone_id,x,y.
+def save_trajectory_csv(trajectory: np.ndarray, path) -> None:
+    """Write an (S, n, 2) array of snapshots as CSV rows: step,drone_id,x,y.
 
     Coordinates are Python float reprs (shortest round trip), e.g. ``3,7,48.8,50.69``.
     """

@@ -251,8 +251,7 @@ def test_no_leakage_canary():
     spiked[0] = Trial(4, x)
 
     cfg = RunConfig(seed=4, n_pairs=2, k_folds=4)
-    res = cross_validate(_scatters(spiked), [t.label for t in spiked], spiked[0].n_samples,
-                         4, cfg.seed, cfg)
+    res = cross_validate(_scatters(spiked), [t.label for t in spiked], spiked[0].n_samples, cfg)
     canary_fold = res.fold_of_trial[0]
     train_idx = [i for i in range(len(spiked)) if res.fold_of_trial[i] != canary_fold]
     leak_free = _fit([spiked[i] for i in train_idx], cfg)

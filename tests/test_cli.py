@@ -81,6 +81,42 @@ SIMULATE_SHA256 = {
 }
 
 
+#: sha256 of ``evaluate``'s ``summary.json`` on both ``subject_dir`` files, and of
+#: ``pipeline``'s outputs on subject01 except ``manifest.json``, which holds ``created_at``.
+#: The CV outputs hold only labels, folds, counts and their ratios, so a BLAS that
+#: rounds differently moves them only if it flips a prediction.
+EVALUATE_SHA256 = {
+    "summary.json": "b76077a3d58f20580951c314cac7357210b9ddaed85c51b182491153202aac37",
+    "pipeline": {
+        "cv_result.json": "1280fbb60805da3f1b5ad2d1b2d6e350e36befacdca6d8dac07d1182adf1e672",
+        "predictions_fold0.json":
+            "ada60eae6eea25d7ddaf23203a263ca2f5fcbeb578760cc27b428f4fd4e3f2b6",
+        "simulation/metrics.json":
+            "4e09f80583caae9312ef0affe04ceccc2fae2335b22643a9f1b1d9173a4516f4",
+        "simulation/trajectory_000_splitting.csv":
+            "5531085246130b7dfbc1b187c8e5cd9a83b6a56e39ecaae575fd0e7593f4870a",
+        "simulation/trajectory_001_dispersing.csv":
+            "afd3fdb42bafa24c6e0065ec8b7a23428fe16cd1495768748fc2800024a41f51",
+        "simulation/trajectory_002_hovering.csv":
+            "4d2abb74f1ad35e469e661f9e60442d9008ca4dc5f2ce8638d637d5125cda4c1",
+        "simulation/trajectory_003_dispersing.csv":
+            "18960c159c4e1302b85ed83df7470e210cf561292643d8bf0b3ef786f4c92604",
+        "simulation/trajectory_004_hovering.csv":
+            "6f8902e777780b3defdbe60d58fa9ae50813a7de77f416d21839e0e2a179631c",
+        "simulation/trajectory_005_aggregating.csv":
+            "7b5ed7c6610d8f9a8043f81bea28b53383a82f1d620b148845edf3e3f26e121e",
+        "simulation/trajectory_006_aggregating.csv":
+            "d494d8663674397f416c6454c6d499af58fe6af90d144f7677dd80f1f64e6681",
+        "simulation/trajectory_007_splitting.csv":
+            "7fe98de1f9aa2254493a21be6f3d3eecf1d287a118da7b788f18c12f264ef105",
+    },
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestSynth:
     def test_writes_files_and_manifest(self, subject_dir):
         manifest = read_json(subject_dir / "synth_manifest.json")
@@ -137,6 +173,13 @@ class TestEvaluate:
         expected = RunConfig(**SMALL_CONFIG["run"]).fingerprint
         for result in summary["per_subject"].values():
             assert result["config_fingerprint"] == expected
+
+    def test_summary_byte_identical(self, tmp_path, config_path, subject_dir):
+        out = tmp_path / "summary.json"
+        assert main(["evaluate", str(subject_dir / "subject01.nsr"),
+                     str(subject_dir / "subject02.nsr"), "--config", config_path,
+                     "--out", str(out)]) == 0
+        assert sha256_of(out) == EVALUATE_SHA256["summary.json"]
 
     def test_corrupted_nsr_named_in_error(self, tmp_path, config_path, subject_dir, capsys):
         bad = subject_dir / "subject01.nsr"
@@ -305,6 +348,13 @@ class TestSimulate:
         assert last.startswith("error:") and "max_steps" in last
         assert not out.exists()
 
+    def test_malformed_sequence_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--sequence", "4;3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sequence") and "'4;3'" in err
+        assert not out.exists()
+
     def test_sequence_and_predictions_conflict(self, tmp_path, config_path, capsys):
         pred = tmp_path / "pred.json"
         pred.write_text(json.dumps({"predicted_labels": [1]}))
@@ -450,6 +500,11 @@ class TestPipeline:
                     for i, f in enumerate(cv["fold_of_trial"]) if f == 0]
         assert preds["predicted_labels"] == expected
         assert preds["fold"] == 0
+
+    def test_outputs_byte_identical(self, pipeline_out):
+        manifest = read_json(pipeline_out / "manifest.json")
+        assert {rel: sha256_of(pipeline_out / rel)
+                for rel in manifest["files"]} == EVALUATE_SHA256["pipeline"]
 
     def test_rerun_identical_modulo_timestamp(self, tmp_path, config_path,
                                               subject_dir, pipeline_out):

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,7 @@ def cv(trials, k, seed, config):
     """``cross_validate`` on the trials' stacked scatter matrices and labels."""
     scatters = np.stack([trial_scatter(t.samples) for t in trials])
     return cross_validate(scatters, [t.label for t in trials], trials[0].n_samples,
-                          k, seed, config)
+                          replace(config, k_folds=k, seed=seed))
 
 
 class TestStratifiedKfold:
@@ -144,7 +144,31 @@ class TestCrossValidate:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            cross_validate(np.empty((0, 6)), np.empty(0, dtype=int), 10, 5, 0, RunConfig())
+            cross_validate(np.empty((0, 6)), np.empty(0, dtype=int), 10, RunConfig())
+
+    def test_scatters_and_labels_of_different_lengths_rejected(self):
+        labels = np.arange(29) % 4 + 1
+        with pytest.raises(ValueError, match="30 scatters but 29 labels"):
+            cross_validate(np.zeros((30, 6)), labels, 10, RunConfig(k_folds=2))
+
+    def test_labels_outside_the_event_codes_rejected(self):
+        labels = np.arange(40) % 4 + 1
+        labels[[0, 1, 2, 3]] = [5, 0, 5, 5]
+        with pytest.raises(ValueError, match=r"labels \[0, 5\] are not event codes"):
+            cross_validate(np.zeros((40, 6)), labels, 10, RunConfig(k_folds=2))
+
+    def test_folds_and_seed_come_from_the_config(self):
+        ts = small_trialset(0.9, seed=30)
+        scatters = np.stack([trial_scatter(t.samples) for t in ts.trials])
+        labels = [t.label for t in ts.trials]
+        cfg = RunConfig(k_folds=3, seed=9)
+        res = cross_validate(scatters, labels, ts.trials[0].n_samples, cfg)
+        assert len(res.per_fold_accuracy) == 3
+        assert res.fold_of_trial == stratified_kfold(labels, 3, 9).tolist()
+        assert res.seed == 9 and res.config_fingerprint == cfg.fingerprint
+        default = cross_validate(scatters, labels, ts.trials[0].n_samples, RunConfig())
+        with pytest.raises(ValueError, match="fingerprint"):
+            summarize_group({"a": res, "b": default})
 
     def test_no_leakage_canary(self):
         # Chance-level data plus one extreme, mislabeled trial. A decoder
@@ -161,7 +185,7 @@ class TestCrossValidate:
         n_samples = canary.n_samples
 
         cfg = RunConfig(seed=4, n_pairs=2, k_folds=4)
-        res = cross_validate(scatters, labels, n_samples, 4, cfg.seed, cfg)
+        res = cross_validate(scatters, labels, n_samples, cfg)
         canary_fold = res.fold_of_trial[0]
         train_idx = [i for i in range(len(spiked)) if res.fold_of_trial[i] != canary_fold]
 
@@ -288,11 +312,11 @@ def test_folds_copy_no_part_of_the_scatter_stack():
     x = rng.standard_normal((400, 32, 40))
     scatters = np.einsum("nct,ndt->ncd", x, x)[(slice(None), *np.triu_indices(32))]
     labels = rng.permutation(np.arange(400) % 4 + 1)
-    cross_validate(scatters, labels, 40, 10, 0, RunConfig())  # imports SciPy untraced
+    cross_validate(scatters, labels, 40, RunConfig(k_folds=10))  # imports SciPy untraced
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cross_validate(scatters, labels, 40, 10, 0, RunConfig())
+        cross_validate(scatters, labels, 40, RunConfig(k_folds=10))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

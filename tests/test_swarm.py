@@ -410,10 +410,7 @@ class TestExports:
         assert [(int(t), int(i)) for t, i, _, _ in rows] == [
             divmod(k, cfg.n_drones) for k in range(len(rows))]
         xy = np.array([[float(x), float(y)] for _, _, x, y in rows])
-        assert np.array_equal(xy.view(np.uint64), np.concatenate(trajectory).view(np.uint64))
-        stacked = tmp_path / "stacked.csv"
-        save_trajectory_csv(np.stack(trajectory), stacked)
-        assert stacked.read_bytes() == path.read_bytes()
+        assert np.array_equal(xy.view(np.uint64), trajectory.reshape(-1, 2).view(np.uint64))
 
 
 class TestConfigInvariants:
@@ -424,6 +421,11 @@ class TestConfigInvariants:
             SwarmConfig(d_split=8.0, r_aggregate=5.0)
         with pytest.raises(ValueError):
             SwarmConfig(min_separation=6.0, r_aggregate=5.0)
+
+    @pytest.mark.parametrize("speed", [float("nan"), float("inf")])
+    def test_non_finite_max_speed_rejected(self, speed):
+        with pytest.raises(ValueError, match=f"max_speed must be finite and > 0, got {speed}"):
+            SwarmConfig(max_speed=speed, max_steps=20)
 
     def test_negative_max_steps_rejected(self):
         with pytest.raises(ValueError, match="max_steps"):
