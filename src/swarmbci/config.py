@@ -5,8 +5,40 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
+import re
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+
+#: The comparisons that the text of a domain (see :func:`check_fields`) may hold.
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+POSITIVE = "finite and > 0"  # the domain of a duration, speed or distance
+
+
+def check_fields(obj, **domains: str) -> None:
+    """Refuse any field of dataclass ``obj`` outside its default's type or its domain.
+
+    A value must have its default's JSON type (see :func:`json_type_matches`), as
+    many items as a tuple default, and only finite floats. Each of its items must
+    also meet ``domains[name]``, a text such as ``"finite and >= 0 and <= 1"`` or
+    ``"one of 'a', 'b'"``: every comparison in it, and one of its quoted strings.
+    A refusal reads ``<field> must be <domain>, got <value>``.
+    """
+    for f in fields(obj):
+        default = f.default if f.default is not MISSING else f.default_factory()
+        value, domain = getattr(obj, f.name), domains.get(f.name, type(default).__name__)
+        n = len(default) if isinstance(default, tuple) else 0
+        if not (json_type_matches(value, default) and (not n or len(value) == n)
+                and all(_inside(v, domain) for v in (value if n else (value,)))):
+            raise ValueError(f"{f.name} must be {domain}, got {value!r}")
+
+
+def _inside(v, domain: str) -> bool:
+    """Whether item ``v`` is finite, if a float, and meets ``domain`` (see :func:`check_fields`)."""
+    if choices := re.findall(r"'([^']*)'", domain):
+        return v in choices
+    return (type(v) is not float or math.isfinite(v)) and all(
+        _COMPARE[op](v, float(x)) for op, x in re.findall(r"(>=|>|<=) (\S+)", domain))
 
 
 @dataclass(frozen=True)
@@ -19,26 +51,17 @@ class RunConfig:
     shrinkage: float = 0.05
     k_folds: int = 5
     seed: int = 0
-    filter_stage: str = "continuous"  # or "epoch"
-    log_variance_mode: str = "plain"  # or "normalized"
+    filter_stage: str = "continuous"
+    log_variance_mode: str = "plain"
 
     def __post_init__(self):
-        low, high = self.band
-        if not (0 < low < high):
-            raise ValueError(f"band must satisfy 0 < low < high, got {self.band}")
-        object.__setattr__(self, "band", (float(low), float(high)))
-        if self.filter_order < 1:
-            raise ValueError("filter_order must be >= 1")
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be >= 1")
-        if not (0.0 <= self.shrinkage <= 1.0):
-            raise ValueError("shrinkage must be in [0, 1]")
-        if self.k_folds < 2:
-            raise ValueError("k_folds must be >= 2")
-        if self.filter_stage not in ("continuous", "epoch"):
-            raise ValueError("filter_stage must be 'continuous' or 'epoch'")
-        if self.log_variance_mode not in ("plain", "normalized"):
-            raise ValueError("log_variance_mode must be 'plain' or 'normalized'")
+        check_fields(self, band="2 values, each finite and > 0", filter_order="int >= 1",
+                     n_pairs="int >= 1", shrinkage="finite and >= 0 and <= 1", k_folds="int >= 2",
+                     seed="int >= 0", filter_stage="one of 'continuous', 'epoch'",
+                     log_variance_mode="one of 'plain', 'normalized'")
+        if not self.band[0] < self.band[1]:
+            raise ValueError(f"band must satisfy low < high, got {self.band!r}")
+        object.__setattr__(self, "band", tuple(map(float, self.band)))
 
     @property
     def fingerprint(self) -> str:
@@ -48,38 +71,26 @@ class RunConfig:
 
 
 def dataclass_from_dict(cls, d, what: str, source: str = ""):
-    """``cls(**d)`` from a JSON object, rejecting unknown keys and mistyped or non-finite values.
+    """``cls(**d)`` from a JSON object: each list a tuple, each nested dataclass parsed alike.
 
-    A value must have the JSON type of its field's default: a list of as
-    many items for a tuple (converted to one), an object for a nested
-    dataclass (parsed by this function), an int or a float for a float, and
-    the very type otherwise, so a bool never passes for a number. Every
-    float must be finite. Errors name a key ``what.key`` (``key`` if
-    ``what`` is empty), and ``d`` itself by ``what`` or else ``source``.
+    ``cls`` checks every value (see :func:`check_fields`). Errors name a key ``what.key``
+    (``key`` if ``what`` is empty), and ``d`` itself, if not an object or with an unknown
+    key, by ``what`` or else ``source``.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what or source} must be a JSON object, got {type(d).__name__}")
-    by_name = {f.name: f for f in fields(cls)}
-    unknown = set(d) - set(by_name)
-    if unknown:
-        raise ValueError(f"{what or source}: unknown keys {sorted(unknown)}")
+    factories = {f.name: f.default_factory for f in fields(cls)}
+    if unknown := sorted(set(d) - set(factories)):
+        raise ValueError(f"{what or source}: unknown keys {unknown}")
     kwargs = {}
     for key, value in d.items():
-        f, name = by_name[key], f"{what}.{key}" if what else key
-        default = f.default if f.default is not MISSING else f.default_factory()
-        if is_dataclass(default):
-            value = dataclass_from_dict(type(default), value, name)
-        elif isinstance(default, tuple) and isinstance(value, list):
-            if len(value) != len(default):
-                raise ValueError(f"{name} must be a list of {len(default)} items, got {value!r}")
-            value = tuple(value)
-        if not json_type_matches(value, default):
-            raise ValueError(f"{name} must be {type(default).__name__}, got {value!r}")
-        if any(type(v) is float and not math.isfinite(v)
-               for v in (value if isinstance(value, tuple) else (value,))):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        kwargs[key] = value
-    return cls(**kwargs)
+        if is_dataclass(factories[key]):  # a nested dataclass's default is made by its class
+            value = dataclass_from_dict(factories[key], value, f"{what}.{key}" if what else key)
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{what}.{exc}" if what else str(exc)) from exc
 
 
 def json_type_matches(value, default) -> bool:

@@ -82,6 +82,8 @@ def cross_validate(scatters: np.ndarray, labels, n_samples: int, config: RunConf
         raise ValueError(f"{len(scatters)} scatters but {len(labels)} labels")
     if len(labels) == 0:
         raise ValueError("cannot cross-validate an empty set of trials")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     unknown = sorted(set(labels.tolist()) - set(EVENT_CODES))
     if unknown:
         raise ValueError(f"labels {unknown} are not event codes {EVENT_CODES}")

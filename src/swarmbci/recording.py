@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from swarmbci.config import json_type_matches
+from swarmbci.config import POSITIVE, check_fields, json_type_matches
 
 MAGIC = b"NSR1"
 #: Longest JSON header line read before a file is declared malformed.
@@ -127,10 +127,7 @@ class ParadigmTiming:
     imagery_s: float = 4.0
 
     def __post_init__(self):
-        for name in ("rest_s", "cue_s", "fixation_s", "imagery_s"):
-            value = getattr(self, name)
-            if not (0 < value < math.inf):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        check_fields(self, rest_s=POSITIVE, cue_s=POSITIVE, fixation_s=POSITIVE, imagery_s=POSITIVE)
 
     def imagery_len(self, fs: float) -> int:
         """Samples in one imagery window (one trial) at ``fs``; ``ValueError`` if none."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from swarmbci.config import POSITIVE, check_fields
 from swarmbci.recording import EVENT_NAMES
 
 BEHAVIORS = tuple(EVENT_NAMES.values())
@@ -34,19 +35,16 @@ class SwarmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_drones < 2:
-            raise ValueError("n_drones must be >= 2")
+        check_fields(self, n_drones="int >= 2", arena="4 values, each finite", max_speed=POSITIVE,
+                     min_separation=POSITIVE, r_aggregate=POSITIVE, d_split=POSITIVE,
+                     max_steps="int >= 0", seed="int >= 0")
         xmin, xmax, ymin, ymax = self.arena
         if not (xmin < xmax and ymin < ymax):
-            raise ValueError("arena bounds must be nonempty")
-        if self.max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
-        if not (np.isfinite(self.max_speed) and self.max_speed > 0):
-            raise ValueError(f"max_speed must be finite and > 0, got {self.max_speed}")
-        if not (self.d_split > 2 * self.r_aggregate):
+            raise ValueError(f"arena must be nonempty, got {self.arena!r}")
+        if not self.d_split > 2 * self.r_aggregate:
             raise ValueError("d_split must exceed 2 * r_aggregate")
-        if not (0 < self.min_separation < self.r_aggregate):
-            raise ValueError("min_separation must be in (0, r_aggregate)")
+        if not self.min_separation < self.r_aggregate:
+            raise ValueError("min_separation must be < r_aggregate")
 
     @property
     def center(self) -> np.ndarray:

@@ -10,12 +10,12 @@ statistically identical, so downstream accuracy sits at chance.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from swarmbci.config import POSITIVE, check_fields
 from swarmbci.dsp import design_bandpass, filter_channels
 from swarmbci.recording import (
     ChannelLayout,
@@ -44,18 +44,11 @@ class SynthConfig:
     n_sources: int = 8
 
     def __post_init__(self):
+        check_fields(self, n_channels="int >= 1", fs_hz=f"finite and > {2 * SOURCE_BAND_HZ[1]}",
+                     trials_per_class="int >= 1", separability="finite and >= 0 and <= 1",
+                     noise_floor=POSITIVE, seed="int >= 0", n_sources="int >= 8")
         if self.n_sources > self.n_channels:
             raise ValueError("n_sources must not exceed n_channels")
-        if self.n_sources < 8:
-            raise ValueError("need at least 8 sources (2 dominant per class)")
-        if not (0.0 <= self.separability <= 1.0):
-            raise ValueError("separability must be in [0, 1]")
-        if not (0 < self.noise_floor < math.inf):
-            raise ValueError(f"noise_floor must be finite and > 0, got {self.noise_floor}")
-        if self.trials_per_class < 1:
-            raise ValueError("trials_per_class must be >= 1")
-        if not (2 * SOURCE_BAND_HZ[1] < self.fs_hz < math.inf):
-            raise ValueError(f"fs_hz must be finite and exceed {2 * SOURCE_BAND_HZ[1]} Hz")
 
 
 def pattern_matrix(n_sources: int = 8) -> np.ndarray:

@@ -619,6 +619,15 @@ class TestConfigHandling:
         assert loaded.run.n_pairs == 2 and loaded.timing.imagery_s == 2.0
         assert loaded.synth.n_channels == 12 and loaded.swarm.n_drones == 12
 
+    @pytest.mark.parametrize("command", [["simulate", "--sequence", "1,3,2"],
+                                         ["simulate", "--sequence", "3"], ["synth"]],
+                             ids=["simulate-no-dispersing", "simulate-dispersing", "synth"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([*command, "--seed", "-1", "--out", str(out)]) == 1
+        assert "error: seed must be int >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_int_accepted_for_a_float_field(self, tmp_path):
         cfg = tmp_path / "ok.json"
         cfg.write_text(json.dumps({"swarm": {"n_drones": 4, "max_speed": 2,

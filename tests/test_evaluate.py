@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import swarmbci
+from swarmbci import evaluate
 from swarmbci.config import RunConfig
 from swarmbci.csp import trial_scatter
 from swarmbci.decode import fit_decoder, predict
@@ -156,6 +157,26 @@ class TestCrossValidate:
         labels[[0, 1, 2, 3]] = [5, 0, 5, 5]
         with pytest.raises(ValueError, match=r"labels \[0, 5\] are not event codes"):
             cross_validate(np.zeros((40, 6)), labels, 10, RunConfig(k_folds=2))
+
+    def test_float_labels_rejected_before_any_fold(self, monkeypatch):
+        def fit_decoder(*args, **kwargs):
+            raise AssertionError("a fold was fitted")
+
+        monkeypatch.setattr(evaluate, "fit_decoder", fit_decoder)
+        labels = np.arange(40) % 4 + 1.0
+        with pytest.raises(ValueError, match="labels must be integers, got dtype float64"):
+            cross_validate(np.zeros((40, 6)), labels, 10, RunConfig(k_folds=2))
+
+    def test_confusion_rows_are_true_and_columns_predicted(self):
+        ts = small_trialset(0.1, seed=41, trials_per_class=8, n_channels=8)
+        res = cv(ts.trials, 2, 3, RunConfig(n_pairs=1))
+        confusion = np.array(res.confusion)
+        assert np.trace(confusion) < len(ts)  # some trials decoded wrong
+        assert not np.array_equal(confusion, confusion.T)  # a transposed update would differ
+        pairs = list(zip(res.true_labels, res.predicted_labels))
+        for t in range(1, 5):
+            for p in range(1, 5):
+                assert confusion[t - 1][p - 1] == pairs.count((t, p))
 
     def test_folds_and_seed_come_from_the_config(self):
         ts = small_trialset(0.9, seed=30)
