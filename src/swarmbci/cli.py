@@ -90,8 +90,11 @@ def load_config(args) -> Config:
     if args.config:
         cfg = dataclass_from_dict(Config, _read_json(args.config), "", args.config)
     if args.seed is not None:
-        run, synth, swarm = (dataclasses.replace(section, seed=args.seed)
-                             for section in (cfg.run, cfg.synth, cfg.swarm))
+        try:
+            run, synth, swarm = (dataclasses.replace(section, seed=args.seed)
+                                 for section in (cfg.run, cfg.synth, cfg.swarm))
+        except ValueError as exc:  # the seed's refusal, named by its flag
+            raise ValueError(f"--{exc}") from exc
         cfg = Config(run, synth, swarm, cfg.timing)
     return cfg
 

@@ -51,14 +51,13 @@ def _triangle(n_ch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             index.diagonal())
 
 
-def trial_scatter(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def trial_scatter(samples: np.ndarray) -> np.ndarray:
     """Channel-mean-centered scatter Xc Xc^T of one trial, as its packed upper triangle.
 
     Xc Xc^T is exactly symmetric: its C(C+1)/2 values in ``np.triu_indices(C)`` order
-    hold it all. The trial is centred in float64, in ``out`` if given (the trial's shape).
+    hold it all. The trial is centred in float64.
     """
-    xc = np.empty(np.shape(samples)) if out is None else out
-    np.copyto(xc, samples)
+    xc = np.array(samples, dtype=np.float64)
     xc -= xc.mean(axis=1, keepdims=True)
     return np.take(xc @ xc.T, _triangle(len(xc))[0])
 

@@ -123,24 +123,19 @@ def _scatter_stack(rec: Recording | RecordingFile, timing: ParadigmTiming, spec:
                    margin: int) -> tuple[np.ndarray, np.ndarray]:
     """The (n, C(C+1)/2) packed trial scatters and labels, reading and filtering trial by trial.
 
-    Every trial goes through one set of window-sized buffers: the read frames,
-    the padded filter input, the float32 trial and the centred trial. Their
-    pages are faulted in once per subject, not once per trial, and are freed
-    when this returns, before the folds.
+    Every trial's window is filtered through one padded float64 buffer, whose
+    pages are faulted in once per subject, not once per trial, and freed when
+    this returns, before the folds.
     """
-    t_len, n_ch = timing.imagery_len(rec.sampling_rate_hz), rec.layout.count
-    frames = np.empty((t_len + 2 * margin, n_ch), dtype="<f4")
-    condition = partial(filter_channels, spec,
-                        out=np.empty((n_ch, t_len + 2 * margin + 2 * spec.pad_len)))
-    crop = np.empty((1, n_ch, t_len), dtype=np.float32)
-    centred = np.empty((n_ch, t_len))
+    n_ch = rec.layout.count
+    padded = timing.imagery_len(rec.sampling_rate_hz) + 2 * margin + 2 * spec.pad_len
+    condition = partial(filter_channels, spec, out=np.empty((n_ch, padded)))
     n = len(rec.markers)
     scatters = np.empty((n, n_ch * (n_ch + 1) // 2))
     labels = np.empty(n, dtype=int)
     for i in range(n):
-        (trial,) = extract_trials(rec, timing, condition, margin, range(i, i + 1),
-                                  out=crop, frames=frames).trials
-        scatters[i] = trial_scatter(trial.samples, out=centred)
+        (trial,) = extract_trials(rec, timing, condition, margin, range(i, i + 1)).trials
+        scatters[i] = trial_scatter(trial.samples)
         labels[i] = trial.label
     return scatters, labels
 

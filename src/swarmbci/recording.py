@@ -174,13 +174,8 @@ class Recording:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    def window(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Channels x (stop - start) view of samples [start, stop).
-
-        ``out`` is not used: the samples are in memory already. It is accepted
-        so that a :class:`RecordingFile` and a Recording are read alike. A window
-        outside the recording raises ``ValueError``.
-        """
+    def window(self, start: int, stop: int) -> np.ndarray:
+        """Channels x (stop - start) view of samples [start, stop); ``ValueError`` if outside."""
         _check_window(start, stop, self.n_samples)
         return self.data[:, start:stop]
 
@@ -213,23 +208,17 @@ class RecordingFile:
     n_samples: int
     offset: int  # byte offset of frame 0
 
-    def window(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+    def window(self, start: int, stop: int) -> np.ndarray:
         """Channels x (stop - start) view of samples [start, stop), in one positioned read.
 
-        The samples are read into ``out``, a C-contiguous ``"<f4"`` array of at
-        least ``stop - start`` frames of ``n_channels`` samples (sample-major, as
-        on disk), or into a new array; the result is a view of it. A window outside
-        ``[0, n_samples)`` raises ``ValueError``; a file that ends before ``stop``
-        (it shrank after it was opened) raises :class:`NsrFormatError`.
+        The view is of a new array of the frames as on disk (sample-major). A window
+        outside ``[0, n_samples)`` raises ``ValueError``; a file that ends before
+        ``stop`` (it shrank after it was opened) raises :class:`NsrFormatError`.
         """
         _check_window(start, stop, self.n_samples)
-        n_ch = self.layout.count
-        frames = np.empty((stop - start, n_ch), "<f4") if out is None else out[:stop - start]
-        if frames.shape != (stop - start, n_ch) or frames.dtype != np.dtype("<f4"):
-            raise ValueError(f"out must be '<f4' of at least ({stop - start}, {n_ch}), "
-                             f"got {out.dtype} {out.shape}")
+        frames = np.empty((stop - start, self.layout.count), "<f4")
         with open(self.path, "rb") as fh:
-            fh.seek(self.offset + 4 * start * n_ch)
+            fh.seek(self.offset + 4 * start * self.layout.count)
             got = fh.readinto(frames)
         if got != frames.nbytes:
             raise NsrFormatError(f"{self.path}: samples [{start}, {stop}) cut short: "
@@ -389,8 +378,7 @@ def load_recording(path) -> Recording:
 
 
 def extract_trials(rec: Recording | RecordingFile, timing: ParadigmTiming = ParadigmTiming(),
-                   condition=None, margin: int = 0, indices: range | None = None,
-                   out: np.ndarray | None = None, frames: np.ndarray | None = None) -> TrialSet:
+                   condition=None, margin: int = 0, indices: range | None = None) -> TrialSet:
     """Cut the imagery window after each marker into a labeled trial.
 
     Markers denote imagery onset; each trial is exactly
@@ -399,21 +387,19 @@ def extract_trials(rec: Recording | RecordingFile, timing: ParadigmTiming = Para
     errors name a marker by its index in ``rec.markers``. No marker
     yields an empty TrialSet.
 
-    Each trial is read on its own with ``margin`` extra samples on both
-    sides, clipped to the recording; a :class:`RecordingFile` reads it into
-    ``frames`` if given (see :meth:`RecordingFile.window`). ``condition``
-    (e.g. a zero-phase filter) maps that window, float32 as read, to one of
-    the same shape, and must not write to it. The trial is cropped out of
-    it into ``out[k]`` as float32, where ``out`` is an (n_trials, channels,
-    T) array, new unless given. A NaN or Inf in a window read raises
-    ``ValueError`` naming the channel and absolute sample index.
+    Each trial is read on its own with ``margin`` (>= 0) extra samples on
+    both sides, clipped to the recording. ``condition`` (e.g. a zero-phase
+    filter) maps that window, float32 as read, to one of the same shape, and
+    must not write to it. The trial is cropped out of it as float32. A NaN
+    or Inf in a window read raises ``ValueError`` naming the channel and
+    absolute sample index.
     """
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
     t_len = timing.imagery_len(rec.sampling_rate_hz)
     picked = range(len(rec.markers)) if indices is None else indices
-    if out is None:
-        out = np.empty((len(picked), rec.layout.count, t_len), dtype=np.float32)
     trials = []
-    for k, i in enumerate(picked):
+    for i in picked:
         m = rec.markers[i]
         end = m.sample_index + t_len
         if end > rec.n_samples:
@@ -422,7 +408,7 @@ def extract_trials(rec: Recording | RecordingFile, timing: ParadigmTiming = Para
                 f"exceeds n_samples {rec.n_samples}"
             )
         lo, hi = max(m.sample_index - margin, 0), min(end + margin, rec.n_samples)
-        window = rec.window(lo, hi, out=frames)
+        window = rec.window(lo, hi)
         # A NaN or Inf reaches the minimum or the maximum; neither needs a window-sized mask.
         if not (np.isfinite(window.min(initial=0.0)) and np.isfinite(window.max(initial=0.0))):
             sample, ch = np.argwhere(~np.isfinite(window.T))[0]  # earliest sample first
@@ -432,6 +418,6 @@ def extract_trials(rec: Recording | RecordingFile, timing: ParadigmTiming = Para
             )
         if condition is not None:
             window = condition(window)
-        np.copyto(out[k], window[:, m.sample_index - lo:end - lo])
-        trials.append(Trial(m.event_code, out[k]))
+        trials.append(Trial(m.event_code,
+                            window[:, m.sample_index - lo:end - lo].astype(np.float32)))
     return TrialSet(trials, rec.layout, rec.sampling_rate_hz)

@@ -41,6 +41,7 @@ class SwarmConfig:
         xmin, xmax, ymin, ymax = self.arena
         if not (xmin < xmax and ymin < ymax):
             raise ValueError(f"arena must be nonempty, got {self.arena!r}")
+        object.__setattr__(self, "arena", tuple(map(float, self.arena)))
         if not self.d_split > 2 * self.r_aggregate:
             raise ValueError("d_split must exceed 2 * r_aggregate")
         if not self.min_separation < self.r_aggregate:

@@ -625,7 +625,7 @@ class TestConfigHandling:
     def test_negative_seed_rejected(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         assert main([*command, "--seed", "-1", "--out", str(out)]) == 1
-        assert "error: seed must be int >= 0, got -1" in capsys.readouterr().err
+        assert "error: --seed must be int >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_int_accepted_for_a_float_field(self, tmp_path):

@@ -260,7 +260,7 @@ class TestEvaluateRecording:
         spec = design_bandpass(*cfg.band, cfg.filter_order, subject.sampling_rate_hz)
         t_len, end = SMALL_TIMING.imagery_len(250.0), subject.n_samples
         # Windows clipped by the recording's start and end by different amounts,
-        # between full ones: each trial reuses the buffers of the one before.
+        # between full ones: each trial reuses the filter buffer of the one before.
         extra = [EventMarker(0, 1), EventMarker(spec.settle_len // 3, 2),
                  EventMarker(end - t_len - spec.settle_len // 2, 3), EventMarker(end - t_len, 4)]
         markers = sorted(subject.markers + extra, key=lambda m: m.sample_index)
@@ -364,8 +364,8 @@ _FAULT_COUNT = textwrap.dedent("""
 def test_trial_windows_do_not_fault_their_pages_in_again(tmp_path):
     # A 64 ch, 1 kHz trial window with its continuous-stage margin is ~64 x 5,470
     # samples, ~690 pages as float64. Window arrays allocated afresh for each trial
-    # land on new pages each time (~3,000 faults per trial); buffers reused over
-    # the trials fault their pages in once.
+    # land on new pages each time (~3,000 faults per trial); the padded filter
+    # input, reused over the trials, faults its pages in once.
     timing = ParadigmTiming(0.1, 0.1, 0.1, 4.0)
     rec = generate_subject(SynthConfig(n_channels=64, fs_hz=1000.0, trials_per_class=6,
                                        timing=timing, separability=0.9, seed=6))

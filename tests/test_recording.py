@@ -376,32 +376,16 @@ class TestRecordingFile:
         for start, stop in ((0, 300), (0, 1), (17, 123), (299, 300)):
             np.testing.assert_array_equal(src.window(start, stop), rec.data[:, start:stop])
 
-    def test_windows_read_into_a_reused_buffer(self, tmp_path):
-        rec = make_recording(n_channels=5, n_samples=300, seed=9)
-        path = tmp_path / "r.nsr"
-        save_recording(rec, path)
-        src = open_recording(path)
-        frames = np.empty((150, 5), dtype="<f4")
-        for start, stop in ((0, 150), (17, 123), (299, 300), (150, 300)):
-            window = src.window(start, stop, out=frames)
-            assert np.shares_memory(window, frames)
-            np.testing.assert_array_equal(window, rec.data[:, start:stop])
-        for unfit in (frames[:100], frames[:, :4], frames.astype(">f4"), frames.astype("<f8")):
-            with pytest.raises(ValueError, match="out must be '<f4'"):
-                src.window(0, 150, out=unfit)
-
-    @pytest.mark.parametrize("frames", [None, np.empty((800, 8), dtype="<f4")],
-                             ids=["new", "reused"])
-    def test_file_cut_short_after_opening_named(self, tmp_path, frames):
+    def test_file_cut_short_after_opening_named(self, tmp_path):
         rec = make_recording(n_channels=8, n_samples=1000, seed=10)
         path = tmp_path / "r.nsr"
         save_recording(rec, path)
         src = open_recording(path)
         os.truncate(path, os.path.getsize(path) - 4 * 8 * 200)  # the last 200 frames
-        np.testing.assert_array_equal(src.window(0, 800, out=frames), rec.data[:, :800])
+        np.testing.assert_array_equal(src.window(0, 800), rec.data[:, :800])
         with pytest.raises(NsrFormatError, match=rf"^{re.escape(str(path))}: samples "
                                                  r"\[750, 1000\) cut short"):
-            src.window(750, 1000, out=frames)
+            src.window(750, 1000)
 
     @pytest.mark.parametrize("start, stop", [(-3, 2), (8, 12), (10, 11), (-1, 0), (6, 5)])
     def test_window_outside_the_recording_refused_by_both_readers(self, tmp_path, start, stop):
@@ -519,14 +503,15 @@ class TestExtractTrials:
         assert [t.label for t in middle.trials] == [2, 3]
         assert len(extract_trials(rec, ParadigmTiming(), indices=range(2, 2))) == 0
 
-    def test_trials_cropped_into_out(self):
-        rec = make_recording(n_channels=2, n_samples=20000, fs=1000.0,
-                             markers=[(0, 1), (5000, 2), (10000, 3)])
-        out = np.empty((2, 2, 4000), dtype=np.float32)
-        ts = extract_trials(rec, ParadigmTiming(), indices=range(1, 3), out=out)
-        for k, (trial, onset) in enumerate(zip(ts.trials, (5000, 10000))):
-            assert np.shares_memory(trial.samples, out[k])
-            np.testing.assert_array_equal(out[k], rec.data[:, onset:onset + 4000])
+    @pytest.mark.parametrize("margin", [-1, -5])
+    def test_negative_margin_refused_before_any_read(self, margin):
+        # A negative margin would crop a window shorter than the trial.
+        rec = make_recording(n_channels=2, n_samples=8000, fs=1000.0, markers=[(3000, 1)])
+        reads = []
+        rec.window = lambda start, stop: reads.append((start, stop))
+        with pytest.raises(ValueError, match=rf"^margin must be >= 0, got {margin}$"):
+            extract_trials(rec, ParadigmTiming(), margin=margin)
+        assert reads == []
 
     def test_marker_range_errors_name_the_absolute_marker(self):
         rec = make_recording(n_channels=2, n_samples=12000, fs=1000.0,

@@ -427,6 +427,11 @@ class TestConfigInvariants:
         with pytest.raises(ValueError, match=f"max_speed must be finite and > 0, got {speed}"):
             SwarmConfig(max_speed=speed, max_steps=20)
 
+    def test_list_arena_stored_as_a_tuple(self):
+        listed, tupled = SwarmConfig(arena=[0, 50, 0, 50]), SwarmConfig(arena=(0, 50, 0, 50))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.arena == (0.0, 50.0, 0.0, 50.0)
+
     def test_negative_max_steps_rejected(self):
         with pytest.raises(ValueError, match="max_steps"):
             SwarmConfig(max_steps=-3)
