@@ -20,7 +20,7 @@ import numpy as np
 
 import swarmbci
 from swarmbci.config import RunConfig, dataclass_from_dict, json_type_matches
-from swarmbci.evaluate import CvResult, evaluate_recording, summarize_group
+from swarmbci.evaluate import CvResult, evaluate_recording, summarize_group, usable_cpus
 from swarmbci.recording import ParadigmTiming, open_recording, save_recording
 from swarmbci.swarm import (
     SwarmConfig,
@@ -126,9 +126,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _evaluate_one(path: str, config: RunConfig, timing: ParadigmTiming) -> tuple[str, CvResult]:
+def _evaluate_one(path: str, config: RunConfig, timing: ParadigmTiming,
+                  threads: int) -> tuple[str, CvResult]:
     rec = open_recording(path)
-    return rec.subject_id, evaluate_recording(rec, config, timing)
+    return rec.subject_id, evaluate_recording(rec, config, timing, threads=threads)
 
 
 def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
@@ -136,14 +137,16 @@ def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
     results: dict[str, CvResult] = {}
     # A fork-started pool forks all its workers at the first submit: no more than files.
     workers = min(jobs, len(paths))
+    threads = max(1, usable_cpus() // workers)  # the workers split this process's CPUs
     if workers > 1:
         # Imported once before the fork, its pages are shared by the workers;
         # imported in each worker, every worker faults in a copy of its own.
         import scipy.signal  # noqa: F401
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        calls = [pool.submit(_evaluate_one, str(p), config, timing).result if workers > 1
-                 else partial(_evaluate_one, str(p), config, timing) for p in paths]
+        calls = [pool.submit(_evaluate_one, str(p), config, timing, threads).result
+                 if workers > 1 else partial(_evaluate_one, str(p), config, timing, threads)
+                 for p in paths]
         for path, call in zip(paths, calls):
             try:
                 subject_id, result = call()

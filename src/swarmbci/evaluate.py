@@ -7,6 +7,8 @@ applied before CV, which introduces no leakage.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -69,6 +71,22 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
     return fold_of_trial
 
 
+def _folds(labels: np.ndarray, config: RunConfig) -> np.ndarray:
+    """Each trial's fold, dealt by ``stratified_kfold``; refuses labels that cannot be
+    cross-validated."""
+    if len(labels) == 0:
+        raise ValueError("cannot cross-validate an empty set of trials")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    unknown = sorted(set(labels.tolist()) - set(EVENT_CODES))
+    if unknown:
+        raise ValueError(f"labels {unknown} are not event codes {EVENT_CODES}")
+    for code in EVENT_CODES:
+        if int(np.sum(labels == code)) == 0:
+            raise ValueError(f"class {code} is absent from the trials")
+    return stratified_kfold(labels, config.k_folds, config.seed)
+
+
 def cross_validate(scatters: np.ndarray, labels, n_samples: int, config: RunConfig) -> CvResult:
     """Leakage-free CV of the CSP+LDA decoder: ``config.k_folds`` folds, dealt by ``config.seed``.
 
@@ -80,18 +98,7 @@ def cross_validate(scatters: np.ndarray, labels, n_samples: int, config: RunConf
     labels = np.asarray(labels)
     if len(labels) != len(scatters):
         raise ValueError(f"{len(scatters)} scatters but {len(labels)} labels")
-    if len(labels) == 0:
-        raise ValueError("cannot cross-validate an empty set of trials")
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    unknown = sorted(set(labels.tolist()) - set(EVENT_CODES))
-    if unknown:
-        raise ValueError(f"labels {unknown} are not event codes {EVENT_CODES}")
-    for code in EVENT_CODES:
-        if int(np.sum(labels == code)) == 0:
-            raise ValueError(f"class {code} is absent from the trials")
-
-    folds = stratified_kfold(labels, config.k_folds, config.seed)
+    folds = _folds(labels, config)
     predicted = np.empty(len(labels), dtype=int)
     for fold in range(config.k_folds):
         train_mask = folds != fold
@@ -119,41 +126,88 @@ def cross_validate(scatters: np.ndarray, labels, n_samples: int, config: RunConf
     )
 
 
-def _scatter_stack(rec: Recording | RecordingFile, timing: ParadigmTiming, spec: FilterSpec,
-                   margin: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, C(C+1)/2) packed trial scatters and labels, reading and filtering trial by trial.
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # no affinity call on this platform (macOS)
 
-    Every trial's window is filtered through one padded float64 buffer, whose
-    pages are faulted in once per subject, not once per trial, and freed when
-    this returns, before the folds.
+
+def _scatter_stack(rec: Recording | RecordingFile, timing: ParadigmTiming, spec: FilterSpec,
+                   margin: int, threads: int) -> np.ndarray:
+    """The (n, C(C+1)/2) packed trial scatters, reading and filtering trial by trial.
+
+    ``threads`` threads, this one among them, take the markers in order from one
+    shared iterator. Each filters its windows through its own padded float64
+    buffer, whose pages are faulted in once per subject, not once per trial, and
+    freed when this returns, before the folds. Once a window fails no marker is
+    handed out; those already handed out finish, and the failure of the lowest
+    marker is raised, as a serial loop would raise it. Every thread has ended when
+    this returns or raises.
     """
     n_ch = rec.layout.count
     padded = timing.imagery_len(rec.sampling_rate_hz) + 2 * margin + 2 * spec.pad_len
-    condition = partial(filter_channels, spec, out=np.empty((n_ch, padded)))
     n = len(rec.markers)
     scatters = np.empty((n, n_ch * (n_ch + 1) // 2))
-    labels = np.empty(n, dtype=int)
-    for i in range(n):
-        (trial,) = extract_trials(rec, timing, condition, margin, range(i, i + 1)).trials
-        scatters[i] = trial_scatter(trial.samples)
-        labels[i] = trial.label
-    return scatters, labels
+    markers = iter(range(n))
+    lock = threading.Lock()
+    failures: dict[int, BaseException] = {}
+
+    def take() -> int | None:
+        with lock:
+            return next(markers, None)
+
+    def stop() -> None:
+        with lock:
+            for _ in markers:  # hand out no more markers
+                pass
+
+    def fill() -> None:
+        condition = partial(filter_channels, spec, out=np.empty((n_ch, padded)))
+        while (i := take()) is not None:
+            try:
+                (trial,) = extract_trials(rec, timing, condition, margin, range(i, i + 1)).trials
+                scatters[i] = trial_scatter(trial.samples)
+            except BaseException as exc:  # raised by the calling thread, below
+                failures[i] = exc
+                stop()
+
+    helpers = [threading.Thread(target=fill) for _ in range(min(threads, n) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        fill()
+    finally:
+        stop()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return scatters
 
 
 def evaluate_recording(rec: Recording | RecordingFile, config: RunConfig,
-                       timing: ParadigmTiming = ParadigmTiming()) -> CvResult:
+                       timing: ParadigmTiming = ParadigmTiming(), *,
+                       threads: int | None = None) -> CvResult:
     """Full single-subject pipeline: filter and epoch each trial, cross-validate.
 
-    ``rec`` is a Recording or an opened RecordingFile. The "continuous"
-    stage filters each trial with ``settle_len`` samples of context on both
-    sides, which matches filtering the whole recording to within
-    ``SETTLE_TOL``; the "epoch" stage filters the trial alone. Trials are
-    read one at a time and only their scatter matrices are kept.
+    ``rec`` is a Recording or an opened RecordingFile. The markers' labels are
+    checked before any window is read. The "continuous" stage filters each trial
+    with ``settle_len`` samples of context on both sides, which matches filtering
+    the whole recording to within ``SETTLE_TOL``; the "epoch" stage filters the
+    trial alone. Trials are read and filtered on ``threads`` threads (default:
+    one per CPU this process may use), and only their scatter matrices are kept;
+    the result does not depend on the thread count.
     """
+    threads = usable_cpus() if threads is None else threads
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    labels = np.array([m.event_code for m in rec.markers], dtype=int)
+    _folds(labels, config)  # refuses unusable labels before any window is read
     spec = design_bandpass(config.band[0], config.band[1], config.filter_order,
                            rec.sampling_rate_hz)
     margin = spec.settle_len if config.filter_stage == "continuous" else 0
-    scatters, labels = _scatter_stack(rec, timing, spec, margin)
+    scatters = _scatter_stack(rec, timing, spec, margin, threads)
     return cross_validate(scatters, labels, timing.imagery_len(rec.sampling_rate_hz), config)
 
 

@@ -33,6 +33,30 @@ def config_path(tmp_path):
 
 
 @pytest.fixture
+def inline_pool(monkeypatch):
+    """Runs each call of ``cli``'s process pools in this process; lists their ``max_workers``."""
+    created = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return created
+
+
+@pytest.fixture
 def subject_dir(tmp_path, config_path):
     out = tmp_path / "data"
     assert main(["synth", "--config", config_path, "--out", str(out),
@@ -214,33 +238,34 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("jobs, files, workers", [("8", 2, [2]), ("2", 1, [])],
                              ids=["jobs8-files2", "jobs2-files1"])
-    def test_no_more_workers_than_files(self, tmp_path, config_path, subject_dir, monkeypatch,
+    def test_no_more_workers_than_files(self, tmp_path, config_path, subject_dir, inline_pool,
                                         jobs, files, workers):
-        created = []
-
-        class InlinePool:
-            """Records ``max_workers`` and runs each call in this process."""
-
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
         paths = [str(subject_dir / f"subject{i + 1:02d}.nsr") for i in range(files)]
         assert main(["evaluate", *paths, "--config", config_path,
                      "--out", str(tmp_path / "s.json"), "--jobs", jobs]) == 0
-        assert created == workers
+        assert inline_pool == workers
         assert len(read_json(tmp_path / "s.json")["per_subject"]) == files
+
+    @pytest.mark.parametrize("affinity, count, jobs, files, threads",
+                             [(4, 8, "2", 2, 2), (4, 8, "1", 2, 4), (4, 8, "4", 2, 2),
+                              (1, 8, "2", 2, 1), (None, 3, "1", 1, 3), (None, None, "1", 1, 1)],
+                             ids=["cpus4-jobs2", "cpus4-jobs1", "cpus4-jobs4", "cpus1-jobs2",
+                                  "no-affinity-call", "no-affinity-call-no-count"])
+    def test_workers_split_the_cpus(self, tmp_path, config_path, subject_dir, inline_pool,
+                                    monkeypatch, affinity, count, jobs, files, threads):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        if affinity is None:  # as on macOS
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                raising=False)
+        seen, evaluate_recording = [], cli.evaluate_recording
+        monkeypatch.setattr(cli, "evaluate_recording", lambda *args, threads: seen.append(
+            threads) or evaluate_recording(*args, threads=threads))
+        paths = [str(subject_dir / f"subject{i + 1:02d}.nsr") for i in range(files)]
+        assert main(["evaluate", *paths, "--config", config_path,
+                     "--out", str(tmp_path / "s.json"), "--jobs", jobs]) == 0
+        assert seen == [threads] * files
 
     def test_non_finite_sample_named(self, tmp_path, config_path, subject_dir, capsys):
         path = subject_dir / "subject01.nsr"

@@ -1,8 +1,12 @@
+import contextlib
+import itertools
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -37,6 +41,17 @@ from swarmbci.recording import (
 from swarmbci.synth import SynthConfig, generate_subject
 
 SMALL_TIMING = ParadigmTiming(0.5, 0.5, 0.5, 2.0)
+
+
+@contextlib.contextmanager
+def switch_interval(seconds):
+    """Run the body with the interpreter switching threads every ``seconds``."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(seconds)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(before)
 
 
 def small_subject(separability, seed, trials_per_class=10, n_channels=12, fs=250.0):
@@ -269,18 +284,71 @@ class TestEvaluateRecording:
         margin = spec.settle_len if stage == "continuous" else 0
         ts = extract_trials(rec, SMALL_TIMING, lambda w: filter_channels(spec, w), margin)
         expected = cv(ts.trials, cfg.k_folds, cfg.seed, cfg)
-        for source in (rec, open_recording(tmp_path / "r.nsr")):
-            got = evaluate_recording(source, cfg, SMALL_TIMING)
-            assert json.dumps(asdict(got), sort_keys=True) == json.dumps(asdict(expected),
-                                                                        sort_keys=True)
-            scatters, labels = _scatter_stack(source, SMALL_TIMING, spec, margin)
-            np.testing.assert_array_equal(scatters, [trial_scatter(t.samples) for t in ts.trials])
-            np.testing.assert_array_equal(labels, [t.label for t in ts.trials])
+        reference = np.stack([trial_scatter(t.samples) for t in ts.trials])
+        alive = threading.active_count()
+        # Threads switched as often as the interpreter allows: a filter buffer shared
+        # between threads, or a window left unfilled, changes the stack.
+        with switch_interval(1e-6):
+            for source, threads in itertools.product(
+                    (rec, open_recording(tmp_path / "r.nsr")), (1, 2, 3)):
+                got = evaluate_recording(source, cfg, SMALL_TIMING, threads=threads)
+                assert json.dumps(asdict(got), sort_keys=True) == json.dumps(asdict(expected),
+                                                                            sort_keys=True)
+                assert threading.active_count() == alive
+                scatters = _scatter_stack(source, SMALL_TIMING, spec, margin, threads)
+                assert scatters.tobytes() == reference.tobytes()
 
     def test_recording_without_trials_rejected(self):
         rec = Recording("none", 250.0, ChannelLayout.generic(4), np.zeros((4, 2000)))
         with pytest.raises(ValueError, match="empty"):
             evaluate_recording(rec, RunConfig(), SMALL_TIMING)
+
+    def test_first_failing_marker_named_whichever_thread_fails_first(self, monkeypatch):
+        rec = small_subject(0.9, seed=45)
+        for i, ch, offset in ((2, 3, 100), (5, 7, 10)):
+            rec.data[ch, rec.markers[i].sample_index + offset] = np.nan
+        expected = (f"channel {rec.layout.names[3]} at sample "
+                    f"{rec.markers[2].sample_index + 100}$")
+        onset, window, reads = rec.markers[2].sample_index, Recording.window, []
+
+        def slow_for_marker_2(self, start, stop):
+            reads.append(start)
+            if start <= onset < stop:  # so marker 5 fails first, on another thread
+                time.sleep(0.02)
+            return window(self, start, stop)
+
+        monkeypatch.setattr(Recording, "window", slow_for_marker_2)
+        alive = threading.active_count()
+        with switch_interval(1e-6):
+            for _ in range(20):
+                reads.clear()
+                with pytest.raises(ValueError, match=expected):
+                    evaluate_recording(rec, RunConfig(seed=1, n_pairs=2), SMALL_TIMING,
+                                       threads=3)
+                assert threading.active_count() == alive
+                # Once marker 5 fails, the other threads take no more of the 40 markers.
+                assert len(reads) < len(rec.markers) // 2
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["recording", "file"])
+    def test_unusable_labels_refused_before_any_window_is_read(self, from_file, tmp_path,
+                                                               monkeypatch):
+        subject = small_subject(0.9, seed=46)
+        dropped = [i for i, m in enumerate(subject.markers) if m.event_code == 4][3:]
+        markers = [m for i, m in enumerate(subject.markers) if i not in dropped]
+        rec = Recording("few", 250.0, subject.layout, subject.data, markers)
+        if from_file:
+            save_recording(rec, tmp_path / "few.nsr")
+            rec = open_recording(tmp_path / "few.nsr")
+        reads, window = [], type(rec).window
+        monkeypatch.setattr(type(rec), "window",
+                            lambda self, *a: reads.append(a) or window(self, *a))
+        with pytest.raises(ValueError, match="class 4 has 3 trials, fewer than k=5"):
+            evaluate_recording(rec, RunConfig(k_folds=5), SMALL_TIMING)
+        assert reads == []
+
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+            evaluate_recording(small_subject(0.9, seed=47), RunConfig(), SMALL_TIMING, threads=0)
 
 
 def _random_recording(n_trials, n_channels=16, fs=250.0, timing=ParadigmTiming()):
