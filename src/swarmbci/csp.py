@@ -11,7 +11,7 @@ filters.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +19,6 @@ import numpy as np
 
 #: Floor applied to projection variances before the log.
 VARIANCE_FLOOR = 1e-300
-_BLOCK_ROWS = 16  # packed rows unpacked at a time, into one reused (B, C, C) buffer
 
 
 @dataclass(frozen=True)
@@ -74,23 +73,7 @@ def _packed_channels(packed: np.ndarray) -> int:
 def packed_traces(packed: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The trace of each packed row in ``rows``: its C diagonal values, summed as ``np.trace``
     sums a full matrix's diagonal (one 1-D sum a row), so the two agree bit for bit."""
-    diagonals = packed[np.ix_(rows, _triangle(_packed_channels(packed))[2])]
-    return np.array([d.sum() for d in diagonals])
-
-
-def unpacked(packed: np.ndarray, rows: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """The (b, C, C) matrices of the packed ``rows`` (all if None), ``_BLOCK_ROWS`` at a time.
-
-    Every block is unpacked into one buffer, which the next block overwrites.
-    """
-    n_ch = _packed_channels(packed)
-    rows = np.arange(len(packed)) if rows is None else rows
-    full = np.empty((min(len(rows), _BLOCK_ROWS), n_ch * n_ch))
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        # mode="clip": under the default "raise", NumPy takes into a temporary copy of out.
-        block = np.take(packed[rows[start:start + _BLOCK_ROWS]], _triangle(n_ch)[1], axis=1,
-                        out=full[:len(rows) - start], mode="clip")
-        yield block.reshape(-1, n_ch, n_ch)
+    return packed[np.ix_(rows, _triangle(_packed_channels(packed))[2])].sum(axis=1)
 
 
 def fit_csp_matrices(c_pos: np.ndarray, c_neg: np.ndarray,
@@ -127,21 +110,30 @@ def fit_csp_matrices(c_pos: np.ndarray, c_neg: np.ndarray,
     return CspModel(w, lam, selected)
 
 
-def features_from_scatter(models: Sequence[CspModel], scatters: np.ndarray, n_samples: int,
-                          mode: str, rows: np.ndarray | None = None) -> np.ndarray:
+def feature_projector(models: Sequence[CspModel]) -> np.ndarray:
+    """The C-ordered (C(C+1)/2, models, 2 n_pairs) projector q: q[:, m, k] is w w^T of model
+    m's k-th selected filter w, packed as ``trial_scatter`` packs S but with its off-diagonal
+    entries doubled, so that packed S @ q[:, m, k] == w^T S w."""
+    w = np.stack([m.w[:, list(m.selected)] for m in models], axis=1)  # (C, model, 2 n_pairs)
+    i, j = np.triu_indices(len(w))
+    return np.ascontiguousarray(w[i] * w[j] * np.where(i == j, 1.0, 2.0)[:, None, None])
+
+
+def features_from_scatter(projector: np.ndarray, scatters: np.ndarray, n_samples: int,
+                          mode: str, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
     """Log-variance features of each model from an (n, C(C+1)/2) stack of packed scatters.
 
-    Rows are packed as by ``trial_scatter``; only the stack rows ``rows`` (all if None) are
-    unpacked, once for all models (see ``unpacked``).
-    var(w^T X) == w^T (Xc Xc^T / T) w, so features only need the scatter. Returns
+    ``projector`` is the models' ``feature_projector``; rows are packed as by
+    ``trial_scatter``. var(w^T X) == w^T (Xc Xc^T / T) w, a dot product with the packed row,
+    so one product over the whole stack gives every row's variances; ``rows`` (all by
+    default) picks from its small result, so no row is copied or unpacked. Returns
     ``2 * n_pairs`` features per model and row, of shape (models, rows, 2 n_pairs).
     ``mode`` "plain" takes log of raw variances; "normalized" divides by the sum of the
     selected variances first.
     """
-    w = np.stack([m.w[:, list(m.selected)] for m in models])[:, None]  # (model, 1, C, 2 n_pairs)
-    # Each block's projection p is multiplied in place: no second temporary of its size.
-    variances = np.concatenate([np.sum(np.multiply(p := b @ w, w, out=p), axis=-2) / n_samples
-                                for b in unpacked(scatters, rows)], axis=1)
+    _packed_channels(scatters)
+    variances = (scatters @ projector.reshape(len(projector), -1))[rows] / n_samples
+    variances = variances.reshape(len(variances), *projector.shape[1:]).swapaxes(0, 1)
     if np.any(variances < VARIANCE_FLOOR):
         warnings.warn("zero-variance CSP projection clamped", RuntimeWarning, stacklevel=2)
         variances = np.maximum(variances, VARIANCE_FLOOR)

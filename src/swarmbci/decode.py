@@ -7,17 +7,19 @@ and the argmax wins (ties break to the smallest event code).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from swarmbci.config import RunConfig
 from swarmbci.csp import (
     CspModel,
+    _packed_channels,
+    _triangle,
+    feature_projector,
     features_from_scatter,
     fit_csp_matrices,
     packed_traces,
-    unpacked,
 )
 from swarmbci.recording import EVENT_CODES
 
@@ -40,10 +42,13 @@ class DecoderModel:
 
     per_class: dict[int, tuple[CspModel, LdaModel]]
     log_variance_mode: str
+    projector: np.ndarray = field(init=False, repr=False)  # the 4 CSP models' feature_projector
 
     def __post_init__(self):
         if sorted(self.per_class) != list(EVENT_CODES):
             raise ValueError(f"decoder must cover classes {EVENT_CODES}")
+        object.__setattr__(self, "projector", feature_projector(
+            [self.per_class[code][0] for code in EVENT_CODES]))
 
 
 def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float) -> LdaModel:
@@ -94,8 +99,10 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
     """Fit four class-vs-rest (CSP, LDA) pairs from an (n, C(C+1)/2) stack of packed scatters.
 
     Rows are packed in ``np.triu_indices(C)`` order (see ``csp.trial_scatter``). ``train``
-    masks the rows to fit on (all if None); none is copied. Their traces come from the packed
-    diagonals, so the features are the one pass that unpacks them.
+    masks the rows to fit on (all if None); none is copied or unpacked. The 8 trace-normalised
+    class sums are one product of an (8, n) weight matrix with the stack, and the features
+    one product of the stack with a projector (see ``csp.features_from_scatter``). Held-out
+    rows weigh 0 in both; as 0 * NaN is NaN, a non-finite value in any row is refused.
     ``n_samples`` is the trial length the scatters were summed over;
     ``config`` supplies ``n_pairs``, ``shrinkage`` and ``log_variance_mode``.
     """
@@ -104,24 +111,25 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
     if train.dtype != bool or train.shape != (n,):
         raise ValueError(f"train must be a boolean mask of length {n}, got {train.dtype} "
                          f"of shape {train.shape}")
+    n_ch = _packed_channels(scatters)
+    # Row extremes, not an (n, C(C+1)/2) mask: a NaN reaches both, an infinity one of them.
+    if not np.all(finite := np.isfinite(scatters.min(axis=1)) & np.isfinite(scatters.max(axis=1))):
+        raise ValueError(f"scatter row {np.argmin(finite)} holds a non-finite value")
     rows = np.flatnonzero(train)
     traces = packed_traces(scatters, rows)
     if np.any(degenerate := traces <= 0):
         raise ValueError(f"degenerate trial {rows[np.argmax(degenerate)]}: zero total variance")
     is_pos = labels[rows, None] == np.array(EVENT_CODES)  # (train row, class)
-    # Summed row by row, the trace-normalised class means equal np.mean(where=) bit for bit.
-    sums = np.zeros((len(EVENT_CODES) * 2, scatters.shape[1]))  # 2c: rest of class c, 2c + 1: c
-    for i, trace, in_class in zip(rows, traces, is_pos):
-        sums[2 * np.arange(len(EVENT_CODES)) + in_class] += scatters[i] / trace
-    # Exactly symmetric, as the full matrices' sums were. Each block is copied out:
-    # ``unpacked`` reuses one buffer, which holds fewer than 8 rows if _BLOCK_ROWS < 8.
-    sums = np.concatenate([b.copy() for b in unpacked(sums)])
+    # 1/trace at each train row's 4 target sums: row 2c sums the rest of class c, 2c + 1 class c.
+    weights = np.zeros((len(EVENT_CODES) * 2, n))
+    weights[2 * np.arange(len(EVENT_CODES)) + is_pos, rows[:, None]] = 1 / traces[:, None]
+    sums = np.take(weights @ scatters, _triangle(n_ch)[1], axis=1).reshape(-1, n_ch, n_ch)
     if np.any(few := is_pos.sum(axis=0) < 2):
         raise ValueError(f"class {EVENT_CODES[np.argmax(few)]} needs at least 2 training trials")
     csp_models = [fit_csp_matrices(sums[2 * c + 1] / pos.sum(), sums[2 * c] / (~pos).sum(),
                                    config.n_pairs) for c, pos in enumerate(is_pos.T)]
-    feats = features_from_scatter(csp_models, scatters, n_samples, config.log_variance_mode,
-                                  rows)
+    feats = features_from_scatter(feature_projector(csp_models), scatters, n_samples,
+                                  config.log_variance_mode, rows)
     per_class = {code: (csp_model, fit_lda(f[pos], f[~pos], config.shrinkage))
                  for code, csp_model, f, pos in zip(EVENT_CODES, csp_models, feats, is_pos.T)}
     return DecoderModel(per_class, config.log_variance_mode)
@@ -138,9 +146,8 @@ def predict(model: DecoderModel, scatter: np.ndarray,
     if np.shape(scatter) != (n_values := n_channels * (n_channels + 1) // 2,):
         raise ValueError(f"scatter of shape {np.shape(scatter)} does not fit a decoder of "
                          f"{n_channels} channels, which takes packed rows of length {n_values}")
-    csp_models, lda_models = zip(*(model.per_class[code] for code in EVENT_CODES))
-    feats = features_from_scatter(csp_models, np.asarray(scatter)[None], n_samples,
+    feats = features_from_scatter(model.projector, np.asarray(scatter)[None], n_samples,
                                   model.log_variance_mode)[:, 0]
-    scores = {code: lda.score(f) for code, lda, f in zip(EVENT_CODES, lda_models, feats)}
+    scores = {code: model.per_class[code][1].score(f) for code, f in zip(EVENT_CODES, feats)}
     best = max(EVENT_CODES, key=lambda c: (scores[c], -c))
     return best, scores

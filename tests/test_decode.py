@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from swarmbci import csp, decode
+from swarmbci import decode
 from swarmbci.config import RunConfig
 from swarmbci.csp import (
     VARIANCE_FLOOR,
@@ -11,7 +11,6 @@ from swarmbci.csp import (
     fit_csp_matrices,
     packed_traces,
     trial_scatter,
-    unpacked,
 )
 from swarmbci.decode import DecoderModel, LdaModel, fit_decoder, fit_lda, predict
 from swarmbci.evaluate import stratified_kfold
@@ -66,7 +65,7 @@ def full_stack_features(model, scatters, n_samples, mode):
 def full_stack_fit_decoder(scatters, labels, n_samples, config, train):
     """``fit_decoder`` on a whole (n, C, C) scatter stack, as it was before the rows were packed.
 
-    Kept as the reference that the packed fit must equal bit for bit.
+    Kept as the reference that the packed fit must equal to within ``FIT_BOUND``.
     """
     traces = np.trace(scatters, axis1=1, axis2=2)
     is_pos = np.asarray(labels)[:, None] == np.array(EVENT_CODES)
@@ -81,6 +80,35 @@ def full_stack_fit_decoder(scatters, labels, n_samples, config, train):
         feats = full_stack_features(csp_model, scatters, n_samples, config.log_variance_mode)
         per_class[code] = (csp_model, fit_lda(feats[pos], feats[rest], config.shrinkage))
     return per_class
+
+
+#: Largest max |a - b| / max |b| of each fitted array against a reference fit. The class
+#: sums and features are matrix products, which sum in another order than the row-by-row
+#: reference (or than a product over fewer rows). Over the cases of
+#: ``test_every_fold_equals_the_full_stack_fit_bit_for_bit`` at most 3.5e-11 (filters),
+#: 4.0e-13 (eigenvalues), 7.6e-12 (LDA weights) and 1.6e-10 (bias) was measured.
+FIT_BOUND = {"w": 1e-9, "eigenvalues": 1e-11, "weights": 2e-10, "bias": 5e-9}
+
+
+def assert_fits_agree(fit, reference):
+    """Two fitted (CspModel, LdaModel) pairs select the same filters and agree to within
+    ``FIT_BOUND``."""
+    (csp_a, lda_a), (csp_b, lda_b) = fit, reference
+    assert csp_a.selected == csp_b.selected
+    pairs = {"w": (csp_a.w, csp_b.w), "eigenvalues": (csp_a.eigenvalues, csp_b.eigenvalues),
+             "weights": (lda_a.weights, lda_b.weights), "bias": (lda_a.bias, lda_b.bias)}
+    for name, (a, b) in pairs.items():
+        assert np.max(np.abs(np.subtract(a, b))) <= FIT_BOUND[name] * np.max(np.abs(b)), name
+
+
+def assert_fits_equal(fit, reference):
+    """Two fitted (CspModel, LdaModel) pairs are equal bit for bit."""
+    (csp_a, lda_a), (csp_b, lda_b) = fit, reference
+    np.testing.assert_array_equal(csp_a.w, csp_b.w)
+    np.testing.assert_array_equal(csp_a.eigenvalues, csp_b.eigenvalues)
+    assert csp_a.selected == csp_b.selected
+    np.testing.assert_array_equal(lda_a.weights, lda_b.weights)
+    assert lda_a.bias == lda_b.bias
 
 
 def lda_closed_form(pos, neg, shrinkage=Fraction(0)):
@@ -222,7 +250,8 @@ class TestFitDecoder:
         assert predict_trial(m1, probe) == predict_trial(m2, probe)
 
     def test_class_means_equal_masked_numpy_means_bit_for_bit(self):
-        """The CSP of each class is fit on ``np.mean(..., where=)`` class means, exactly."""
+        """The CSP of each class is fit on ``np.mean(..., where=)`` class means, to within
+        ``FIT_BOUND``: the class sums are one matrix product."""
         rng = np.random.default_rng(8)
         x = rng.standard_normal((90, 6, 40))
         scatters = np.stack([trial_scatter(t) for t in x])
@@ -234,10 +263,13 @@ class TestFitDecoder:
             pos = (labels == code)[:, None, None]
             expected = fit_csp_matrices(np.mean(normalized, axis=0, where=pos),
                                         np.mean(normalized, axis=0, where=~pos), 2)
-            np.testing.assert_array_equal(model.per_class[code][0].w, expected.w)
+            w = model.per_class[code][0].w
+            assert np.max(np.abs(w - expected.w)) <= FIT_BOUND["w"] * np.max(np.abs(expected.w))
 
     @pytest.mark.parametrize("mode", ["plain", "normalized"])
     def test_train_mask_equals_the_sliced_stack_bit_for_bit(self, mode):
+        # To within FIT_BOUND: held-out rows enter the class-sum product with weight 0,
+        # which moves where the product's partial sums fall.
         rng = np.random.default_rng(11)
         x = rng.standard_normal((48, 8, 30))
         scatters = np.stack([trial_scatter(t) for t in x])
@@ -249,16 +281,13 @@ class TestFitDecoder:
             masked = fit_decoder(scatters, labels, 30, cfg, train=mask)
             sliced = fit_decoder(scatters[mask], labels[mask], 30, cfg)
             for code in (1, 2, 3, 4):
-                (csp_a, lda_a), (csp_b, lda_b) = masked.per_class[code], sliced.per_class[code]
-                np.testing.assert_array_equal(csp_a.w, csp_b.w)
-                np.testing.assert_array_equal(csp_a.eigenvalues, csp_b.eigenvalues)
-                assert csp_a.selected == csp_b.selected
-                np.testing.assert_array_equal(lda_a.weights, lda_b.weights)
-                assert lda_a.bias == lda_b.bias
+                assert_fits_agree(masked.per_class[code], sliced.per_class[code])
 
     @pytest.mark.parametrize("mode", ["plain", "normalized"])
     @pytest.mark.parametrize("n_channels", [4, 7, 64])
     def test_every_fold_equals_the_full_stack_fit_bit_for_bit(self, n_channels, mode):
+        # The packed rows are the full matrices' upper triangles bit for bit; the fit from
+        # them agrees with the unpacked reference fit to within FIT_BOUND.
         rng = np.random.default_rng(n_channels)
         gains = rng.uniform(0.2, 40.0, (1, n_channels, 1)).astype(np.float32)
         x = gains * rng.standard_normal((48, n_channels, 2 * n_channels + 20), dtype=np.float32)
@@ -272,69 +301,52 @@ class TestFitDecoder:
             model = fit_decoder(scatters, labels, x.shape[2], cfg, train=folds != fold)
             reference = full_stack_fit_decoder(full, labels, x.shape[2], cfg, folds != fold)
             for code in EVENT_CODES:
-                (csp_a, lda_a), (csp_b, lda_b) = model.per_class[code], reference[code]
-                np.testing.assert_array_equal(csp_a.w, csp_b.w)
-                np.testing.assert_array_equal(csp_a.eigenvalues, csp_b.eigenvalues)
-                assert csp_a.selected == csp_b.selected
-                np.testing.assert_array_equal(lda_a.weights, lda_b.weights)
-                assert lda_a.bias == lda_b.bias
-
-    @pytest.mark.parametrize("block_rows", [3, 4])
-    @pytest.mark.parametrize("mode", ["plain", "normalized"])
-    def test_blocks_of_fewer_than_8_rows_give_the_default_model(self, monkeypatch, block_rows,
-                                                               mode):
-        # The 8 class sums span more than one block of unpacked rows.
-        rng = np.random.default_rng(block_rows)
-        x = rng.standard_normal((48, 9, 40))
-        scatters = np.stack([trial_scatter(t) for t in x])
-        labels = rng.permutation(np.arange(48) % 4 + 1)
-        cfg = RunConfig(n_pairs=2, log_variance_mode=mode)
-        train = stratified_kfold(labels, 4, seed=0) != 0
-        default = fit_decoder(scatters, labels, 40, cfg, train=train)
-        monkeypatch.setattr(csp, "_BLOCK_ROWS", block_rows)
-        small = fit_decoder(scatters, labels, 40, cfg, train=train)
-        for code in EVENT_CODES:
-            (csp_a, lda_a), (csp_b, lda_b) = small.per_class[code], default.per_class[code]
-            np.testing.assert_array_equal(csp_a.w, csp_b.w)
-            np.testing.assert_array_equal(csp_a.eigenvalues, csp_b.eigenvalues)
-            assert csp_a.selected == csp_b.selected
-            np.testing.assert_array_equal(lda_a.weights, lda_b.weights)
-            assert lda_a.bias == lda_b.bias
+                assert_fits_agree(model.per_class[code], reference[code])
 
     @pytest.mark.parametrize("shape", [(300, 64, 250), (20, 64, 4000), (90, 7, 40)])
     def test_traces_of_the_unpacked_rows_equal_np_trace_bit_for_bit(self, shape):
         # fit_decoder normalises each train row by its packed diagonal's sum, which must equal
-        # np.trace of the full matrix, as the unpacked blocks' traces do.
+        # np.trace of the full matrix.
         rng = np.random.default_rng(shape[0])
         gains = rng.uniform(0.01, 100.0, (shape[0], shape[1], 1)).astype(np.float32)
         x = gains * rng.standard_normal(shape, dtype=np.float32)
         scatters = np.stack([trial_scatter(t) for t in x])
         full = np.stack([full_scatter(t) for t in x])
         rows = np.flatnonzero(rng.random(shape[0]) < 0.9)
-        traces = [np.trace(block, axis1=1, axis2=2) for block in unpacked(scatters, rows)]
-        np.testing.assert_array_equal(np.concatenate(traces), np.trace(full[rows], axis1=1,
-                                                                       axis2=2))
         np.testing.assert_array_equal(packed_traces(scatters, rows),
                                       np.trace(full[rows], axis1=1, axis2=2))
 
-    def test_each_train_row_is_unpacked_once(self, monkeypatch):
-        # Only the features unpack the train rows; the 8 class sums are unpacked once more.
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((60, 6, 30))
+    @pytest.mark.parametrize("mode", ["plain", "normalized"])
+    def test_held_out_rows_leave_the_fit_unchanged_bit_for_bit(self, mode):
+        # Held-out rows weigh 0 in the class sums, and their features are dropped from the
+        # product's result: any finite values in them give the same fit.
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((60, 9, 40))
         scatters = np.stack([trial_scatter(t) for t in x])
         labels = rng.permutation(np.arange(60) % 4 + 1)
-        train = stratified_kfold(labels, 5, seed=0) != 0
-        yielded = []
+        cfg = RunConfig(n_pairs=2, log_variance_mode=mode)
+        folds = stratified_kfold(labels, 5, seed=0)
+        for fold in range(5):
+            train = folds != fold
+            model = fit_decoder(scatters, labels, 40, cfg, train=train)
+            other = scatters.copy()
+            held_out = np.flatnonzero(~train)
+            other[held_out[::2]] = 0.0  # a zero-variance trial, refused as a train row
+            other[held_out[1::2]] = 1e6 * rng.standard_normal((len(held_out[1::2]),
+                                                               scatters.shape[1]))
+            moved = fit_decoder(other, labels, 40, cfg, train=train)
+            for code in EVENT_CODES:
+                assert_fits_equal(moved.per_class[code], model.per_class[code])
 
-        def counted(*args, **kwargs):
-            for block in unpacked(*args, **kwargs):
-                yielded.append(len(block))
-                yield block
-
-        monkeypatch.setattr(csp, "unpacked", counted)
-        monkeypatch.setattr(decode, "unpacked", counted)
-        fit_decoder(scatters, labels, 30, RunConfig(n_pairs=2), train=train)
-        assert sum(yielded) == train.sum() + 8
+    def test_non_finite_row_refused_and_named_even_held_out(self):
+        rng = np.random.default_rng(19)
+        scatters = np.stack([trial_scatter(rng.standard_normal((4, 50))) for _ in range(12)])
+        scatters[9, 0] = np.inf
+        scatters[7, 3] = np.nan
+        train = ~np.isin(np.arange(12), (7, 9))
+        # 0 * NaN is NaN: a held-out row with weight 0 would still spread into every sum.
+        with pytest.raises(ValueError, match="scatter row 7 holds a non-finite value"):
+            fit_decoder(scatters, np.arange(12) % 4 + 1, 50, RunConfig(n_pairs=1), train=train)
 
     def test_train_mask_of_the_wrong_length_names_both_lengths(self):
         scatters = np.stack([packed(np.eye(4))] * 12)
@@ -387,6 +399,14 @@ class TestPredict:
             model.log_variance_mode)
         for t in ts.trials[:8]:
             assert predict_trial(model, t)[0] == predict_trial(shifted, t)[0]
+
+    def test_predict_reuses_the_fitted_projector(self, monkeypatch):
+        ts = small_synth_trialset(trials_per_class=5, seed=10)
+        model = fit_trials(ts.trials)
+        assert model.projector.flags.c_contiguous  # so each product views it 2-D, uncopied
+        monkeypatch.setattr(decode, "feature_projector", None)  # a rebuild would raise
+        for t in ts.trials[:4]:
+            predict_trial(model, t)
 
     def test_channel_mismatch(self):
         ts = small_synth_trialset(trials_per_class=5, seed=10)

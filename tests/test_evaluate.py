@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import itertools
 import json
 import os
@@ -258,6 +259,17 @@ class TestEvaluateRecording:
         expected = f"channel {rec.layout.names[4]} at sample {onset - 3}"
         with pytest.raises(ValueError, match=expected):
             evaluate_recording(rec, RunConfig(seed=1, n_pairs=2), SMALL_TIMING)
+
+    def test_subject_that_errs_is_pinned(self):
+        # 0.49 accuracy, 102 trials off the confusion diagonal: unlike EVALUATE_SHA256's
+        # subjects, this pin also moves when a wrong prediction flips.
+        timing = ParadigmTiming(0.5, 0.5, 0.5, 1.0)
+        rec = generate_subject(SynthConfig(n_channels=32, fs_hz=250.0, trials_per_class=50,
+                                           timing=timing, separability=0.2, seed=5))
+        res = evaluate_recording(rec, RunConfig(seed=1), timing)
+        assert res.mean_accuracy == pytest.approx(0.49)
+        assert hashlib.sha256(json.dumps(asdict(res), sort_keys=True).encode()).hexdigest() == (
+            "75072f387d8085908995cb081bd6fad21b029397208c18ffd0a00a2881b5fa6b")
 
     def test_fingerprint_recorded(self):
         rec = small_subject(0.5, seed=42)
