@@ -138,10 +138,6 @@ def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
     # A fork-started pool forks all its workers at the first submit: no more than files.
     workers = min(jobs, len(paths))
     threads = max(1, usable_cpus() // workers)  # the workers split this process's CPUs
-    if workers > 1:
-        # Imported once before the fork, its pages are shared by the workers;
-        # imported in each worker, every worker faults in a copy of its own.
-        import scipy.signal  # noqa: F401
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         calls = [pool.submit(_evaluate_one, str(p), config, timing, threads).result
@@ -350,7 +346,8 @@ def console_main() -> int:
     """The ``swarmbci`` command: ``main``, then an exit without the final GC pass.
 
     ``gc.freeze`` moves every object to the permanent generation, so interpreter
-    shutdown does not walk the ~70k objects that SciPy's import leaves behind.
+    shutdown does not walk the objects the imports leave behind: ~70k after
+    ``synth``, whose source filter imports SciPy.
     """
     code = main()
     gc.freeze()

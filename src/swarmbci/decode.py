@@ -42,13 +42,11 @@ class DecoderModel:
 
     per_class: dict[int, tuple[CspModel, LdaModel]]
     log_variance_mode: str
-    projector: np.ndarray = field(init=False, repr=False)  # the 4 CSP models' feature_projector
+    projector: np.ndarray = field(repr=False)  # the 4 CSP models' feature_projector, in class order
 
     def __post_init__(self):
         if sorted(self.per_class) != list(EVENT_CODES):
             raise ValueError(f"decoder must cover classes {EVENT_CODES}")
-        object.__setattr__(self, "projector", feature_projector(
-            [self.per_class[code][0] for code in EVENT_CODES]))
 
 
 def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float) -> LdaModel:
@@ -78,11 +76,9 @@ def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float) -> LdaModel:
     sigma = (pos_c.T @ pos_c + neg_c.T @ neg_c) / (n_pos + n_neg)
     sigma = (1.0 - shrinkage) * sigma + shrinkage * (np.trace(sigma) / d) * np.eye(d)
 
-    from scipy.linalg import cho_factor, cho_solve  # here, so `simulate` never loads SciPy
-
     try:
-        factor = cho_factor(sigma, lower=True)
-        weights = cho_solve(factor, mu_pos - mu_neg)
+        np.linalg.cholesky(sigma)  # raises, as a solve need not, if sigma is not positive definite
+        weights = np.linalg.solve(sigma, mu_pos - mu_neg)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "singular pooled covariance; increase shrinkage above 0"
@@ -128,11 +124,11 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
         raise ValueError(f"class {EVENT_CODES[np.argmax(few)]} needs at least 2 training trials")
     csp_models = [fit_csp_matrices(sums[2 * c + 1] / pos.sum(), sums[2 * c] / (~pos).sum(),
                                    config.n_pairs) for c, pos in enumerate(is_pos.T)]
-    feats = features_from_scatter(feature_projector(csp_models), scatters, n_samples,
-                                  config.log_variance_mode, rows)
+    projector = feature_projector(csp_models)
+    feats = features_from_scatter(projector, scatters, n_samples, config.log_variance_mode, rows)
     per_class = {code: (csp_model, fit_lda(f[pos], f[~pos], config.shrinkage))
                  for code, csp_model, f, pos in zip(EVENT_CODES, csp_models, feats, is_pos.T)}
-    return DecoderModel(per_class, config.log_variance_mode)
+    return DecoderModel(per_class, config.log_variance_mode, projector)
 
 
 def predict(model: DecoderModel, scatter: np.ndarray,

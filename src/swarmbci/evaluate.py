@@ -146,7 +146,7 @@ def _scatter_stack(rec: Recording | RecordingFile, timing: ParadigmTiming, spec:
     this returns or raises.
     """
     n_ch = rec.layout.count
-    padded = timing.imagery_len(rec.sampling_rate_hz) + 2 * margin + 2 * spec.pad_len
+    padded = spec.padded_len(timing.imagery_len(rec.sampling_rate_hz) + 2 * margin)
     n = len(rec.markers)
     scatters = np.empty((n, n_ch * (n_ch + 1) // 2))
     markers = iter(range(n))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from swarmbci.config import POSITIVE, check_fields
-from swarmbci.dsp import design_bandpass, filter_channels
+from swarmbci.dsp import design_bandpass
 from swarmbci.recording import (
     ChannelLayout,
     EventMarker,
@@ -74,8 +74,8 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
 
     One helper thread makes every draw, in stream order: the mixing normals,
     the label shuffle and the sources, then each noise row, straight into
-    its data row. Meanwhile this thread designs the source filter (the first
-    design imports SciPy) and filters the sources, then finishes each noise
+    its data row. Meanwhile this thread imports SciPy, designs the source filter
+    and filters the sources with ``scipy.signal.sosfiltfilt``, then finishes each noise
     row as soon as it is drawn: it scales the row and adds the row's mixing
     product, one column block at a time, so only the last row's finish
     follows the draws. The rows from ``n_channels - 3 * n_sources`` on are
@@ -117,6 +117,8 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
         drawn = pool.submit(draw_sources)
         rows = [pool.submit(draw_row, ch) for ch in range(gate)]
         try:
+            from scipy.signal import sosfiltfilt  # while the helper draws
+
             band = design_bandpass(SOURCE_BAND_HZ[0], SOURCE_BAND_HZ[1],
                                    _SOURCE_FILTER_ORDER, fs)
             g, labels, sources = drawn.result()
@@ -125,7 +127,7 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
             mix, r = np.linalg.qr(g)
             mix = mix * np.sign(np.diag(r))
             for j in range(cfg.n_sources):
-                sources[j] = filter_channels(band, sources[j])
+                sources[j] = sosfiltfilt(band.sos, sources[j], padlen=band.pad_len)
             # Normalize so each source has unit in-band standard deviation.
             sources /= sources.std(axis=1, keepdims=True)
 

@@ -263,7 +263,8 @@ class TestCspFeatures:
         model = self._model()
         rng = np.random.default_rng(16)
         lda_model = LdaModel(np.zeros(2), 0.0, 0.0)
-        decoder = DecoderModel({c: (model, lda_model) for c in (1, 2, 3, 4)}, "plain")
+        decoder = DecoderModel({c: (model, lda_model) for c in (1, 2, 3, 4)}, "plain",
+                               feature_projector([model] * 4))
         with pytest.raises(ValueError, match="channels"):
             predict(decoder, trial_scatter(random_trial(6, 100, rng)), 100)
 

@@ -8,6 +8,7 @@ from swarmbci.config import RunConfig
 from swarmbci.csp import (
     VARIANCE_FLOOR,
     CspModel,
+    feature_projector,
     fit_csp_matrices,
     packed_traces,
     trial_scatter,
@@ -384,7 +385,8 @@ class TestPredict:
         n = 4
         csp_model = CspModel(np.eye(n), np.full(n, 0.5), (0, 1, 2, 3))
         lda_model = LdaModel(np.zeros(n), 0.0, 0.0)
-        model = DecoderModel({c: (csp_model, lda_model) for c in (1, 2, 3, 4)}, "plain")
+        model = DecoderModel({c: (csp_model, lda_model) for c in (1, 2, 3, 4)}, "plain",
+                             feature_projector([csp_model] * 4))
         rng = np.random.default_rng(2)
         label, scores = predict(model, trial_scatter(rng.standard_normal((n, 50))), 50)
         assert label == 1
@@ -396,9 +398,19 @@ class TestPredict:
         shifted = DecoderModel(
             {c: (csp, LdaModel(lda.weights, lda.bias + 17.5, lda.shrinkage))
              for c, (csp, lda) in model.per_class.items()},
-            model.log_variance_mode)
+            model.log_variance_mode, model.projector)
         for t in ts.trials[:8]:
             assert predict_trial(model, t)[0] == predict_trial(shifted, t)[0]
+
+    def test_fit_builds_the_projector_once(self, monkeypatch):
+        ts = small_synth_trialset(trials_per_class=5, seed=10)
+        calls = []
+        monkeypatch.setattr(decode, "feature_projector",
+                            lambda models: calls.append(models) or feature_projector(models))
+        model = fit_trials(ts.trials)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(
+            model.projector, feature_projector([model.per_class[c][0] for c in EVENT_CODES]))
 
     def test_predict_reuses_the_fitted_projector(self, monkeypatch):
         ts = small_synth_trialset(trials_per_class=5, seed=10)

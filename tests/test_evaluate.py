@@ -321,25 +321,36 @@ class TestEvaluateRecording:
             rec.data[ch, rec.markers[i].sample_index + offset] = np.nan
         expected = (f"channel {rec.layout.names[3]} at sample "
                     f"{rec.markers[2].sample_index + 100}$")
-        onset, window, reads = rec.markers[2].sample_index, Recording.window, []
+        onset, window, threads = rec.markers[2].sample_index, Recording.window, 3
+        log, log_lock = [], threading.Lock()
 
         def slow_for_marker_2(self, start, stop):
-            reads.append(start)
             if start <= onset < stop:  # so marker 5 fails first, on another thread
                 time.sleep(0.02)
             return window(self, start, stop)
 
+        def logged_extract_trials(*args, **kwargs):  # one call per marker handed out
+            with log_lock:
+                log.append("handed out")
+            try:
+                return extract_trials(*args, **kwargs)
+            except ValueError:
+                with log_lock:
+                    log.append("failed")
+                raise
+
         monkeypatch.setattr(Recording, "window", slow_for_marker_2)
+        monkeypatch.setattr(evaluate, "extract_trials", logged_extract_trials)
         alive = threading.active_count()
         with switch_interval(1e-6):
             for _ in range(20):
-                reads.clear()
+                log.clear()
                 with pytest.raises(ValueError, match=expected):
                     evaluate_recording(rec, RunConfig(seed=1, n_pairs=2), SMALL_TIMING,
-                                       threads=3)
+                                       threads=threads)
                 assert threading.active_count() == alive
-                # Once marker 5 fails, the other threads take no more of the 40 markers.
-                assert len(reads) < len(rec.markers) // 2
+                # Once a window fails, only the markers the other threads already hold are read.
+                assert log[log.index("failed"):].count("handed out") <= threads - 1
 
     @pytest.mark.parametrize("from_file", [False, True], ids=["recording", "file"])
     def test_unusable_labels_refused_before_any_window_is_read(self, from_file, tmp_path,
@@ -425,11 +436,8 @@ def test_folds_copy_no_part_of_the_scatter_stack():
 
 
 #: Run in a fresh interpreter: the minor page faults of one ``evaluate_recording`` call.
-#: ``scipy.signal`` is imported at the first filter design; imported first, its
-#: one-time page faults are not counted as the trials'.
 _FAULT_COUNT = textwrap.dedent("""
     import resource, sys
-    import scipy.signal
     from swarmbci.config import RunConfig
     from swarmbci.evaluate import evaluate_recording
     from swarmbci.recording import ParadigmTiming, open_recording

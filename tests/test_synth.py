@@ -11,7 +11,7 @@ import pytest
 from scipy import signal as sp_signal
 
 from swarmbci import synth
-from swarmbci.dsp import design_bandpass, filter_channels
+from swarmbci.dsp import design_bandpass
 from swarmbci.recording import (
     ChannelLayout,
     EventMarker,
@@ -27,6 +27,8 @@ from swarmbci.synth import (
 )
 
 SMALL_TIMING = ParadigmTiming(0.5, 0.5, 0.5, 2.0)
+#: SciPy's own filter, which synth looks up in ``scipy.signal`` at each call.
+SOSFILTFILT = sp_signal.sosfiltfilt
 
 
 def sequential_generate_subject(cfg, subject_id=None):
@@ -53,7 +55,7 @@ def sequential_generate_subject(cfg, subject_id=None):
     sources = rng.standard_normal((cfg.n_sources, total))
     band = design_bandpass(SOURCE_BAND_HZ[0], SOURCE_BAND_HZ[1], 4, fs)
     for j in range(cfg.n_sources):
-        sources[j] = filter_channels(band, sources[j])
+        sources[j] = SOSFILTFILT(band.sos, sources[j], padlen=band.pad_len)
     sources /= sources.std(axis=1, keepdims=True)
 
     pattern = pattern_matrix(cfg.n_sources)
@@ -79,10 +81,10 @@ def sequential_generate_subject(cfg, subject_id=None):
 
 
 def slowed_filter(delay_s):
-    """``filter_channels`` that sleeps first, so the noise draws run ahead of the sources."""
+    """``sosfiltfilt`` that sleeps first, so the noise draws run ahead of the sources."""
     def slow(*args, **kwargs):
         time.sleep(delay_s)
-        return filter_channels(*args, **kwargs)
+        return SOSFILTFILT(*args, **kwargs)
     return slow
 
 
@@ -255,6 +257,7 @@ class TestGenerateSubject:
 _PEAK_RSS_CHILD = textwrap.dedent("""
     import re, sys
     sys.path.insert(0, sys.argv[1])
+    import scipy.signal
     import test_synth
     from swarmbci import synth
     from swarmbci.recording import ParadigmTiming
@@ -268,7 +271,7 @@ _PEAK_RSS_CHILD = textwrap.dedent("""
     if sys.argv[2] == "sequential":
         generate = test_synth.sequential_generate_subject
     else:
-        synth.filter_channels = test_synth.slowed_filter(0.1)
+        scipy.signal.sosfiltfilt = test_synth.slowed_filter(0.1)
         generate = synth.generate_subject
     before = peak_kib()
     generate(cfg)
@@ -289,7 +292,7 @@ class TestDrawThread:
         # 64 channels: the noise draws 40 rows before it waits for the sources.
         cfg = SynthConfig(n_channels=64, fs_hz=1000.0, trials_per_class=3,
                           timing=SMALL_TIMING, separability=0.9, seed=11)
-        monkeypatch.setattr(synth, "filter_channels", slowed_filter(0.05))
+        monkeypatch.setattr(sp_signal, "sosfiltfilt", slowed_filter(0.05))
         assert generate_subject(cfg) == sequential_generate_subject(cfg)
 
     def test_concurrent_calls_each_equal_the_sequential_generator(self):
@@ -364,7 +367,7 @@ class TestDrawThread:
         def fail(*args, **kwargs):
             raise RuntimeError("filter failed")
 
-        monkeypatch.setattr(synth, "filter_channels", fail)
+        monkeypatch.setattr(sp_signal, "sosfiltfilt", fail)
         made = counting_generators(monkeypatch)
         cfg = SynthConfig(n_channels=64, fs_hz=250.0, trials_per_class=3,
                           timing=SMALL_TIMING, seed=1)
