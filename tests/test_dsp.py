@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from swarmbci import dsp
 from swarmbci.dsp import (
     FilterSpec,
     design_bandpass,
@@ -205,12 +206,41 @@ class TestFilterChannels:
             assert error <= bound * np.max(np.abs(expected))
 
     def test_rows_match_filtfilt_bit_for_bit(self, bandpass):
-        # 13 and 41 samples pad to 2 and 3 blocks; 35 rows fill two 16-row tiles and 3 rows.
-        for n in (13, 41, 610, 5470):
-            x = np.random.default_rng(n).standard_normal((35, n))
+        # 13 and 41 samples pad to 2 and 3 blocks. Each row count fills the tiles of its
+        # padded length and leaves 3 rows over: 1,376 rows of 64 samples, 917 of 96, 137 of
+        # 640 and 16 of 5,504 make a tile.
+        for n, rows in ((13, 1379), (41, 920), (610, 140), (5470, 35)):
+            x = np.random.default_rng(n).standard_normal((rows, n))
             out = filter_channels(bandpass, x)
             for ch in range(len(x)):
                 np.testing.assert_array_equal(out[ch], filter_channels(bandpass, x[ch]))
+
+    @pytest.mark.parametrize("fs, order, n", [
+        (250.0, 2, 610), (250.0, 2, 300), (250.0, 4, 610), (250.0, 4, 41),
+        (1000.0, 2, 5470), (1000.0, 2, 4735), (1000.0, 4, 5470), (1000.0, 4, 300)])
+    def test_bits_do_not_depend_on_the_tile(self, monkeypatch, fs, order, n):
+        # The second n of each design is a window clipped by the end of a recording.
+        spec = design_bandpass(8.0, 30.0, order, fs)
+        x = 100.0 * np.random.default_rng(n + order).standard_normal((35, n))
+        expected = filter_channels(spec, x).view(np.uint64)
+        # Budgets below one row (so a row a tile), of 3 rows, 8 rows (35 % 8 == 3) and every row.
+        for budget in (1, 3 * spec.padded_len(n), 8 * spec.padded_len(n), 35 * spec.padded_len(n)):
+            monkeypatch.setattr(dsp, "_TILE", budget)
+            np.testing.assert_array_equal(filter_channels(spec, x).view(np.uint64), expected,
+                                          err_msg=f"tile budget {budget}")
+
+    @pytest.mark.parametrize("fs, n, calls", [(250.0, 610, 2), (1000.0, 5470, 8)])
+    def test_tiles_of_a_64_channel_window(self, monkeypatch, fs, n, calls):
+        # Two passes a tile: a 250 Hz window is one tile, a 1 kHz window four tiles of 16 rows.
+        spec, passes, filter_blocks = design_bandpass(8.0, 30.0, 2, fs), [], dsp._filter_blocks
+
+        def counted(spec, blocks, out):
+            passes.append(len(blocks))
+            filter_blocks(spec, blocks, out)
+
+        monkeypatch.setattr(dsp, "_filter_blocks", counted)
+        filter_channels(spec, np.zeros((64, n), dtype=np.float32))
+        assert len(passes) == calls and sum(passes) == 2 * 64
 
     def test_pad_len_of_the_bandpass(self, bandpass):
         assert bandpass.pad_len == 12

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_chain
 
 import swarmbci
 from swarmbci import evaluate
@@ -372,6 +373,38 @@ class TestEvaluateRecording:
     def test_threads_below_one_rejected(self):
         with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
             evaluate_recording(small_subject(0.9, seed=47), RunConfig(), SMALL_TIMING, threads=0)
+
+
+#: Seeded 250 Hz subjects of 160 one-second trials: (channels, separability, seed). They
+#: decode at 0.731, 0.25, 0.994 and 0.431, so each mispredicts trials.
+TEXTBOOK_SUBJECTS = [(16, 0.3, 61), (16, 0.0, 62), (32, 0.6, 63), (64, 0.2, 64)]
+TEXTBOOK_TIMING = ParadigmTiming(0.5, 0.5, 0.5, 1.0)
+
+
+class TestAgainstTheTextbookChain:
+    """``evaluate_recording`` against ``reference_chain``: the same algorithm, written plainly."""
+
+    @pytest.fixture(scope="class", params=TEXTBOOK_SUBJECTS,
+                    ids=[f"{c}ch-sep{s:g}" for c, s, _ in TEXTBOOK_SUBJECTS])
+    def subject(self, request):
+        n_channels, separability, seed = request.param
+        rec = generate_subject(SynthConfig(n_channels=n_channels, fs_hz=250.0,
+                                           trials_per_class=40, timing=TEXTBOOK_TIMING,
+                                           separability=separability, seed=seed))
+        config = RunConfig(seed=seed)
+        return rec, config, reference_chain.cross_validate(rec, TEXTBOOK_TIMING, config)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_predictions_equal_the_reference(self, subject, threads):
+        rec, config, (expected, margin) = subject
+        res = evaluate_recording(rec, config, TEXTBOOK_TIMING, threads=threads)
+        got, labels = np.array(res.predicted_labels), np.array(res.true_labels)
+        differ = np.flatnonzero(got != expected)
+        for i in differ:  # a near-tie in the reference may fall either way
+            print(f"trial {i}: predicted {got[i]}, the reference {expected[i]} "
+                  f"at a relative top-2 margin of {margin[i]:.3g}")
+        assert np.all(margin[differ] < 1e-9)
+        assert np.any(got != labels)
 
 
 def _random_recording(n_trials, n_channels=16, fs=250.0, timing=ParadigmTiming()):
