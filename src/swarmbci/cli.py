@@ -3,20 +3,18 @@
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import dataclasses
 import gc
 import json
 import multiprocessing
 import os
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 import swarmbci
 from swarmbci.config import RunConfig, dataclass_from_dict, json_type_matches
@@ -173,20 +171,31 @@ def cmd_evaluate(args) -> int:
 #: Trajectory CSV writes that ``simulate`` lets queue; each holds its trajectory in
 #: this process until the writer has written it.
 _MAX_QUEUED_WRITES = 8
-_write_failed = False  # in the writer process: set while a write runs, left set if it fails
 
 
-def _write_trajectory(trajectory: np.ndarray, path: Path) -> None:
-    """Write one behavior's trajectory CSV atomically; runs in the writer process.
+def _write_trajectories(conn, parent_conn) -> None:
+    """The writer process: write each ``(trajectory, path)`` received on ``conn`` as its CSV.
 
-    The writer runs the writes in order and skips every one after a failed one.
+    Writes run in order, atomically, and every one after a failed one is skipped.
+    Each is answered with None or its exception. The writer closes its copy of
+    ``parent_conn``, so once the parent closes its end or dies, the writer sees
+    EOF (or cannot answer) and returns. It ignores SIGINT: a Ctrl-C reaches the
+    parent, which then waits for the writes already sent.
     """
-    global _write_failed
-    if not _write_failed:
-        _write_failed = True
-        with _atomic_path(path) as tmp:
-            save_trajectory_csv(trajectory, tmp)
-        _write_failed = False
+    parent_conn.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    failed = False
+    with contextlib.suppress(EOFError, OSError):  # the parent is gone
+        while True:
+            trajectory, path = conn.recv()
+            error = None
+            if not failed:
+                try:
+                    with _atomic_path(path) as tmp:
+                        save_trajectory_csv(trajectory, tmp)
+                except Exception as exc:
+                    error, failed = exc, True
+            conn.send(error)
 
 
 def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:
@@ -199,35 +208,59 @@ def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
     state = init_swarm(swarm_cfg)
     timeline = []
-    writes = collections.deque()  # the one writer finishes them in order
-    # The pool forks its writer at the first submit, before it starts any thread.
-    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork")
-                             ) as writer:
+    # No other thread runs in this process, so the fork copies no lock that a thread holds.
+    context = multiprocessing.get_context("fork")
+    conn, writer_conn = context.Pipe()
+    writer = context.Process(target=_write_trajectories, args=(writer_conn, conn))
+    writer.start()
+    writer_conn.close()
+    queued = 0  # writes sent and not yet answered; the writer answers them in order
+
+    def writer_call(method, *args):
         try:
-            for idx, (code, name) in enumerate(zip(codes, names)):
-                while writes and (writes[0].done() or len(writes) >= _MAX_QUEUED_WRITES):
-                    writes.popleft().result()
-                try:
-                    state = set_behavior(state, name, swarm_cfg, seed=swarm_cfg.seed + idx)
-                    state, trajectory, steps = run_until_converged(state, swarm_cfg)
-                except ValueError as exc:
-                    raise ValueError(f"behaviour {idx} ({name}): {exc}") from exc
-                fname = f"trajectory_{idx:03d}_{name.lower()}.csv"
-                writes.append(writer.submit(_write_trajectory, trajectory, out / fname))
-                timeline.append({
-                    "index": idx,
-                    "code": int(code),
-                    "behavior": name,
-                    "steps": steps,
-                    "converged": converged(state),
-                    "trajectory_file": fname,
-                    "metrics": metrics(state, swarm_cfg),
-                })
+            return method(*args)
+        except (EOFError, OSError) as exc:  # only the writer's exit closes its end
+            writer.join()
+            raise RuntimeError(f"the trajectory CSV writer process exited with code "
+                               f"{writer.exitcode} before writing every CSV") from exc
+
+    def wait_for_write():
+        nonlocal queued
+        error = writer_call(conn.recv)
+        queued -= 1
+        if error is not None:
+            raise error
+
+    try:
+        for idx, (code, name) in enumerate(zip(codes, names)):
+            while queued and (queued >= _MAX_QUEUED_WRITES or conn.poll()):
+                wait_for_write()
+            try:
+                state = set_behavior(state, name, swarm_cfg, seed=swarm_cfg.seed + idx)
+                state, trajectory, steps = run_until_converged(state, swarm_cfg)
+            except ValueError as exc:
+                raise ValueError(f"behaviour {idx} ({name}): {exc}") from exc
+            fname = f"trajectory_{idx:03d}_{name.lower()}.csv"
+            writer_call(conn.send, (trajectory, out / fname))
+            queued += 1
+            timeline.append({
+                "index": idx,
+                "code": int(code),
+                "behavior": name,
+                "steps": steps,
+                "converged": converged(state),
+                "trajectory_file": fname,
+                "metrics": metrics(state, swarm_cfg),
+            })
+    finally:
+        # Every write has returned before anything is raised, and a failed
+        # write is raised before the error of any later behavior.
+        try:
+            while queued:
+                wait_for_write()
         finally:
-            # Every write has returned before anything is raised, and a failed
-            # write is raised before the error of any later behavior.
-            while writes:
-                writes.popleft().result()
+            conn.close()
+            writer.join()
     _write_text_atomic(out / "metrics.json", _dump_json({"timeline": timeline}))
     return [entry["trajectory_file"] for entry in timeline] + ["metrics.json"]
 

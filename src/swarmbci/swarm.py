@@ -10,6 +10,7 @@ radius r_aggregate about the current centroid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -228,6 +229,61 @@ def set_behavior(state: SwarmState, behavior: str, cfg: SwarmConfig,
     return SwarmState(pos.copy(), state.anchors.copy(), targets, behavior, 0)
 
 
+@functools.lru_cache(maxsize=4)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) of every pair i < j of ``n`` drones, in row-major order; read-only."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _offsets(positions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``targets - positions`` per drone, and its length ``sqrt(dx*dx + dy*dy)``."""
+    delta = targets - positions
+    dx, dy = delta[:, 0], delta[:, 1]
+    return delta, np.sqrt(dx * dx + dy * dy)
+
+
+def _advance(positions: np.ndarray, delta: np.ndarray, dist: np.ndarray,
+             cfg: SwarmConfig) -> np.ndarray:
+    """The positions one step after ``positions``, given ``_offsets`` of them; see :func:`step`.
+
+    Returns a new array: ``positions`` is not written to.
+    """
+    scale = np.where(dist > 0, np.minimum(cfg.max_speed, dist) / np.maximum(dist, 1e-300), 0.0)
+    moved = positions + delta * scale[:, None]
+
+    ii, jj = _upper_pairs(len(moved))
+    x, y = moved[:, 0], moved[:, 1]
+    dx, dy = x[jj] - x[ii], y[jj] - y[ii]
+    d = np.sqrt(dx * dx + dy * dy)
+    close = np.flatnonzero(d < cfg.min_separation)
+    if close.size:
+        ii, jj, dx, dy, d = ii[close], jj[close], dx[close], dy[close], d[close]
+        apart = d > 0
+        d_safe = np.where(apart, d, 1.0)
+        push = 0.5 * (cfg.min_separation - d)
+        correction = np.zeros_like(moved)
+        # A coincident pair splits along +x. Each drone's pushes add up in pair order:
+        # first those of the pairs whose higher index it is (rows above its own), then
+        # those of its own row, so every sum is rounded as in a loop over i < j.
+        for axis, unit in enumerate((np.where(apart, dx / d_safe, 1.0),
+                                     np.where(apart, dy / d_safe, 0.0))):
+            np.add.at(correction[:, axis], jj, unit * push)
+            np.subtract.at(correction[:, axis], ii, unit * push)
+        moved += correction
+    else:
+        moved += 0.0  # as a zero correction would: a -0.0 becomes 0.0
+
+    # One clip per axis: one call with per-column bounds turns a drone at 0.0
+    # into -0.0 against an arena bound of -0.0, where the per-axis clip keeps 0.0.
+    xmin, xmax, ymin, ymax = cfg.arena
+    np.clip(x, xmin, xmax, out=x)
+    np.clip(y, ymin, ymax, out=y)
+    return moved
+
+
 def step(state: SwarmState, cfg: SwarmConfig) -> SwarmState:
     """One synchronous kinematic step.
 
@@ -238,38 +294,12 @@ def step(state: SwarmState, cfg: SwarmConfig) -> SwarmState:
     snapshot, so drone update order is irrelevant. Positions clamp to
     the arena.
     """
-    delta = state.targets - state.positions
-    dist = np.linalg.norm(delta, axis=1)
-    scale = np.where(dist > 0, np.minimum(cfg.max_speed, dist) / np.maximum(dist, 1e-300), 0.0)
-    moved = state.positions + delta * scale[:, None]
-
-    dx, dy, pair_dist = _differences(moved, moved)
-    ii, jj = np.nonzero(pair_dist < cfg.min_separation)
-    upper = ii < jj  # pairs in row-major order, as a loop over i < j visits them
-    ii, jj = ii[upper], jj[upper]
-    d = pair_dist[ii, jj]
-    apart = d > 0
-    d_safe = np.where(apart, d, 1.0)
-    push = 0.5 * (cfg.min_separation - d)
-    correction = np.zeros_like(moved)
-    # A coincident pair splits along +x. Each drone's pushes add up in pair order:
-    # first those of the pairs whose higher index it is (rows above its own), then
-    # those of its own row, so every sum is rounded as in that loop.
-    for axis, unit in enumerate((np.where(apart, dx[ii, jj] / d_safe, 1.0),
-                                 np.where(apart, dy[ii, jj] / d_safe, 0.0))):
-        np.add.at(correction[:, axis], jj, unit * push)
-        np.subtract.at(correction[:, axis], ii, unit * push)
-    moved = moved + correction
-
-    xmin, xmax, ymin, ymax = cfg.arena
-    moved[:, 0] = np.clip(moved[:, 0], xmin, xmax)
-    moved[:, 1] = np.clip(moved[:, 1], ymin, ymax)
+    moved = _advance(state.positions, *_offsets(state.positions, state.targets), cfg)
     return replace(state, positions=moved, step_count=state.step_count + 1)
 
 
 def converged(state: SwarmState) -> bool:
-    return bool(np.max(np.linalg.norm(state.positions - state.targets, axis=1))
-                <= CONVERGENCE_TOL_M)
+    return bool(np.max(_offsets(state.positions, state.targets)[1]) <= CONVERGENCE_TOL_M)
 
 
 def run_until_converged(state: SwarmState, cfg: SwarmConfig
@@ -279,13 +309,20 @@ def run_until_converged(state: SwarmState, cfg: SwarmConfig
     ``max_steps`` counts the steps since the behavior was set (``set_behavior``
     resets ``step_count`` to 0). Returns (final state, an (S, n, 2) array of the
     positions from the start to the end, the final ``step_count``). Non-convergence
-    is reported by ``step_count == max_steps``, not raised.
+    is reported by ``step_count == max_steps``, not raised. Each step is
+    :func:`step`'s, on the positions alone: the distances to the targets that
+    decide convergence are those the step moves by.
     """
-    trajectory = [state.positions]  # step never writes to the positions it is given
-    while not converged(state) and state.step_count < cfg.max_steps:
-        state = step(state, cfg)
-        trajectory.append(state.positions)
-    return state, np.stack(trajectory), state.step_count
+    positions, steps = state.positions, state.step_count
+    trajectory = [positions]
+    while True:
+        delta, dist = _offsets(positions, state.targets)
+        if np.max(dist) <= CONVERGENCE_TOL_M or steps >= cfg.max_steps:
+            break
+        positions = _advance(positions, delta, dist, cfg)
+        trajectory.append(positions)
+        steps += 1
+    return replace(state, positions=positions, step_count=steps), np.stack(trajectory), steps
 
 
 def _clusters_single_linkage(points: np.ndarray, cut: float) -> list[np.ndarray]:
@@ -333,8 +370,18 @@ def save_trajectory_csv(trajectory: np.ndarray, path) -> None:
     """Write an (S, n, 2) array of snapshots as CSV rows: step,drone_id,x,y.
 
     Coordinates are Python float reprs (shortest round trip), e.g. ``3,7,48.8,50.69``.
+    Each distinct value is formatted once; values are told apart by their bits, so
+    -0.0 and 0.0 keep their own reprs.
     """
+    steps, n, _ = trajectory.shape
+    bits = np.ascontiguousarray(trajectory, dtype=np.float64).reshape(-1).view(np.int64)
+    keys, index = np.unique(bits, return_inverse=True)
+    texts = list(map(repr, keys.view(np.float64).tolist()))
+    coords = list(map(texts.__getitem__, index.tolist()))  # x, y of each row in turn
+    ids = [f",{i}," for i in range(n)]
+    parts = [","] * (4 * steps * n)  # per row: "\n<step>,<drone_id>,", x, ",", y
+    parts[0::4] = [f"\n{t}{i}" for t in range(steps) for i in ids]
+    parts[1::4] = coords[0::2]
+    parts[3::4] = coords[1::2]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,drone_id,x,y\n")
-        for t, snap in enumerate(trajectory):
-            fh.write("".join(f"{t},{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(snap.tolist())))
+        fh.write("step,drone_id,x,y" + "".join(parts) + "\n")

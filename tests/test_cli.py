@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
 import json
 import os
+import random
+import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
@@ -451,6 +455,82 @@ class TestSimulate:
         assert len(written) == 12
         assert all(n >= idx - 7 for idx, n in enumerate(written)), written
 
+    def test_no_thread_beside_the_main_one_while_stepping(self, tmp_path, monkeypatch):
+        run = cli.run_until_converged
+        threads = []
+
+        def counting_run(state, cfg):
+            threads.append(threading.active_count())
+            return run(state, cfg)
+
+        monkeypatch.setattr(cli, "run_until_converged", counting_run)
+        assert main(["simulate", "--out", str(tmp_path / "sim"), "--sequence", "4,3,2,1,3,2"]) == 0
+        assert threads == [1] * 6
+
+    def test_a_killed_writer_is_an_error(self, tmp_path):
+        script = (
+            "import os, signal, sys\n"
+            "from swarmbci import cli\n"
+            "save, written = cli.save_trajectory_csv, []\n"
+            "def dying_save(trajectory, path):\n"
+            "    written.append(path)\n"
+            "    if len(written) == 3:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    save(trajectory, path)\n"
+            "cli.save_trajectory_csv = dying_save\n"
+            "sys.exit(cli.main(['simulate', '--out', 'sim', '--sequence', '4,3,2,1,3,2']))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "process" in proc.stderr  # names the writer
+        assert not (tmp_path / "sim" / "metrics.json").exists()
+        assert len(list((tmp_path / "sim").glob("trajectory_*.csv"))) == 2
+
+    def test_killed_run_leaves_no_process_and_no_partial_file(self, tmp_path):
+        codes = [1 + i % 4 for i in range(400)]
+        random.Random(28).shuffle(codes)
+        argv = [sys.executable, "-m", "swarmbci.cli", "simulate",
+                "--sequence", ",".join(map(str, codes)), "--out"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+        def run(out, stderr=None, kill_after=None):
+            """Run the command into ``out`` in its own session; what is left is killed after."""
+            proc = subprocess.Popen(argv + [str(out)], cwd=tmp_path, env=env, stderr=stderr,
+                                    start_new_session=True)
+            try:
+                if kill_after is None:
+                    assert proc.wait(timeout=120) == 0
+                    return []
+                time.sleep(kill_after)
+                proc.kill()  # the command alone, not its session
+                proc.wait(timeout=10)
+                deadline = time.monotonic() + 10.0
+                while session_processes(proc.pid) and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                return session_processes(proc.pid)
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+
+        start = time.monotonic()
+        run(tmp_path / "clean")
+        duration = time.monotonic() - start
+        clean = {p.name: p.read_bytes() for p in (tmp_path / "clean").iterdir()}
+        rng = random.Random(6)
+        # Once at start-up, then at seeded points of a run as long as the clean one.
+        for k, delay in enumerate([0.05] + [duration * rng.uniform(0.2, 0.9) for _ in range(3)]):
+            out = tmp_path / f"killed{k}"
+            with open(tmp_path / f"stderr{k}", "w+") as err:
+                left = run(out, err, kill_after=delay)
+                assert not left, f"killed after {delay:.2f} s, left {left}"
+                err.seek(0)
+                assert err.read() == ""  # the writer exits quietly
+            for p in out.iterdir() if out.exists() else ():
+                if not p.name.startswith("."):
+                    assert p.read_bytes() == clean[p.name], (delay, p.name)
+
     @pytest.mark.parametrize("config", sorted(SIMULATE_SHA256))
     def test_outputs_byte_identical(self, tmp_path, config):
         digests, swarm = SIMULATE_SHA256[config]
@@ -461,6 +541,20 @@ class TestSimulate:
                      "--sequence", "4,3,2,1,3,2"]) == 0
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in out.iterdir()} == digests
+
+
+def session_processes(sid):
+    """The pids of the processes of session ``sid`` that have not exited (zombies aside)."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            stat = Path("/proc", entry, "stat").read_text() if entry.isdigit() else ""
+        except OSError:  # it exited
+            continue
+        fields = stat.rpartition(")")[2].split()  # state, ppid, pgrp, session, ...
+        if fields and int(fields[3]) == sid and fields[0] != "Z":
+            pids.append(int(entry))
+    return pids
 
 
 #: Run in a fresh interpreter: the scipy modules loaded after the given statement.

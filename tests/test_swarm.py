@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,17 @@ class TestVectorisedGeometry:
         s = SwarmState(pos, pos.copy(), pos.copy(), "Hovering")
         assert np.array_equal(bits(step(s, cfg).positions), bits(reference_step(s, cfg)))
 
+    def test_a_step_without_close_pairs_adds_the_zero_correction(self):
+        # The move takes a drone at -0.0 to -0.0 (-5e-324 * 0.02 rounds to -0.0); the
+        # pair loop's zero correction then makes it 0.0, which the clip keeps.
+        cfg = SwarmConfig(n_drones=2)
+        pos = np.array([[-0.0, 50.0], [60.0, 60.0]])
+        tgt = np.array([[-5e-324, 100.0], [60.0, 60.0]])
+        s = SwarmState(pos, pos.copy(), tgt, "Hovering")
+        expected = reference_step(s, cfg)
+        assert bits(expected)[0, 0] == 0  # 0.0, not -0.0
+        assert np.array_equal(bits(step(s, cfg).positions), bits(expected))
+
     def test_clusters_equal_connected_components_in_order(self):
         from scipy.sparse.csgraph import connected_components
 
@@ -310,6 +323,25 @@ class TestVectorisedGeometry:
                 targets = set_behavior(s, "Dispersing", cfg, seed=seed).targets
                 chosen = reference_dispersing(s, cfg, seed)
                 assert sorted(map(tuple, targets)) == sorted(map(tuple, chosen))
+
+
+def stepped_until_converged(state, cfg):
+    """The loop that :func:`run_until_converged` replaced: :func:`step` until :func:`converged`."""
+    trajectory = [state.positions]
+    while not converged(state) and state.step_count < cfg.max_steps:
+        state = step(state, cfg)
+        trajectory.append(state.positions)
+    return state, np.stack(trajectory), state.step_count
+
+
+def default_sequence_states():
+    """The state and config at the start of each behavior of ``4,3,2,1,3,2``, 50 drones."""
+    cfg = SwarmConfig()
+    state = init_swarm(cfg)
+    for idx, code in enumerate((4, 3, 2, 1, 3, 2)):
+        state = set_behavior(state, behavior_name(code), cfg, seed=cfg.seed + idx)
+        yield state, cfg
+        state = run_until_converged(state, cfg)[0]
 
 
 class TestRunUntilConverged:
@@ -370,6 +402,21 @@ class TestRunUntilConverged:
         for a, b in zip(run(), run()):
             np.testing.assert_array_equal(a, b)
 
+    def test_equals_stepping_until_converged_bit_for_bit(self):
+        cases = [*crowded_states(), *default_sequence_states()]
+        cases += [(state, replace(cfg, max_steps=7)) for state, cfg in crowded_states()]
+        outcomes = set()
+        for state, cfg in cases:
+            final, trajectory, steps = run_until_converged(state, cfg)
+            ref_final, ref_trajectory, ref_steps = stepped_until_converged(state, cfg)
+            assert steps == ref_steps == final.step_count
+            assert np.array_equal(bits(trajectory), bits(ref_trajectory))
+            for field in ("positions", "anchors", "targets"):
+                assert np.array_equal(bits(getattr(final, field)), bits(getattr(ref_final, field)))
+            assert final.behavior == ref_final.behavior
+            outcomes.add("converged" if converged(final) else "max_steps")
+        assert outcomes == {"converged", "max_steps"}
+
 
 class TestMetrics:
     def _state(self, positions):
@@ -411,6 +458,35 @@ class TestExports:
             divmod(k, cfg.n_drones) for k in range(len(rows))]
         xy = np.array([[float(x), float(y)] for _, _, x, y in rows])
         assert np.array_equal(xy.view(np.uint64), trajectory.reshape(-1, 2).view(np.uint64))
+
+    @staticmethod
+    def reference_csv(trajectory):
+        return "step,drone_id,x,y\n" + "".join(
+            f"{t},{i},{x!r},{y!r}\n" for t, snap in enumerate(trajectory.tolist())
+            for i, (x, y) in enumerate(snap))
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 0.0, -0.0, 1.5, -1.5],
+        [5e-324, -5e-324, 1e-05, 1e16, 1e16, 5e-324, 0.1 + 0.2, 0.3, 2.0 ** 60, 1e-05],
+    ], ids=["signed-zeros", "extremes"])
+    def test_each_value_keeps_its_own_repr(self, tmp_path, values):
+        rng = np.random.default_rng(4)
+        # Every value in step 0, then repeated across steps and drones, in both columns.
+        trajectory = rng.choice(np.array(values), (9, 5, 2))
+        trajectory[0] = np.reshape(values * 2, (-1, 2))[:5]
+        path = tmp_path / "traj.csv"
+        save_trajectory_csv(trajectory, path)
+        assert path.read_bytes() == self.reference_csv(trajectory).encode()
+
+    def test_a_crowded_trajectory_is_written_as_the_row_loop_writes_it(self, tmp_path):
+        cfg = SwarmConfig(n_drones=120, arena=(0.0, 60.0, 0.0, 60.0), r_aggregate=8.0,
+                          d_split=20.0)
+        s = set_behavior(init_swarm(cfg), "Dispersing", cfg, seed=3)
+        _, trajectory, steps = run_until_converged(s, cfg)
+        assert steps > 10
+        path = tmp_path / "traj.csv"
+        save_trajectory_csv(trajectory, path)
+        assert path.read_bytes() == self.reference_csv(trajectory).encode()
 
 
 class TestConfigInvariants:
