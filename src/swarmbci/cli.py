@@ -168,34 +168,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-#: Trajectory CSV writes that ``simulate`` lets queue; each holds its trajectory in
-#: this process until the writer has written it.
-_MAX_QUEUED_WRITES = 8
-
-
 def _write_trajectories(conn, parent_conn) -> None:
     """The writer process: write each ``(trajectory, path)`` received on ``conn`` as its CSV.
 
-    Writes run in order, atomically, and every one after a failed one is skipped.
-    Each is answered with None or its exception. The writer closes its copy of
-    ``parent_conn``, so once the parent closes its end or dies, the writer sees
-    EOF (or cannot answer) and returns. It ignores SIGINT: a Ctrl-C reaches the
-    parent, which then waits for the writes already sent.
+    Writes run in order, atomically, until None arrives; then the writer answers
+    once, with None. A failed write is answered at once with its exception, and
+    the writer returns without writing more. The writer closes its copy of
+    ``parent_conn``, so once the parent closes its end or dies, the writer writes
+    what the pipe holds and returns at EOF (or when it cannot answer). It ignores
+    SIGINT: a Ctrl-C reaches the parent, which then waits for the writes already sent.
     """
     parent_conn.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    failed = False
     with contextlib.suppress(EOFError, OSError):  # the parent is gone
-        while True:
-            trajectory, path = conn.recv()
-            error = None
-            if not failed:
-                try:
-                    with _atomic_path(path) as tmp:
-                        save_trajectory_csv(trajectory, tmp)
-                except Exception as exc:
-                    error, failed = exc, True
-            conn.send(error)
+        error = None
+        for trajectory, path in iter(conn.recv, None):
+            try:
+                with _atomic_path(path) as tmp:
+                    save_trajectory_csv(trajectory, tmp)
+            except Exception as exc:
+                error = exc
+                break
+        conn.send(error)
 
 
 def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:
@@ -214,35 +208,15 @@ def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:
     writer = context.Process(target=_write_trajectories, args=(writer_conn, conn))
     writer.start()
     writer_conn.close()
-    queued = 0  # writes sent and not yet answered; the writer answers them in order
-
-    def writer_call(method, *args):
-        try:
-            return method(*args)
-        except (EOFError, OSError) as exc:  # only the writer's exit closes its end
-            writer.join()
-            raise RuntimeError(f"the trajectory CSV writer process exited with code "
-                               f"{writer.exitcode} before writing every CSV") from exc
-
-    def wait_for_write():
-        nonlocal queued
-        error = writer_call(conn.recv)
-        queued -= 1
-        if error is not None:
-            raise error
-
     try:
         for idx, (code, name) in enumerate(zip(codes, names)):
-            while queued and (queued >= _MAX_QUEUED_WRITES or conn.poll()):
-                wait_for_write()
             try:
                 state = set_behavior(state, name, swarm_cfg, seed=swarm_cfg.seed + idx)
                 state, trajectory, steps = run_until_converged(state, swarm_cfg)
             except ValueError as exc:
                 raise ValueError(f"behaviour {idx} ({name}): {exc}") from exc
             fname = f"trajectory_{idx:03d}_{name.lower()}.csv"
-            writer_call(conn.send, (trajectory, out / fname))
-            queued += 1
+            conn.send((trajectory, out / fname))  # waits while the pipe is full
             timeline.append({
                 "index": idx,
                 "code": int(code),
@@ -253,14 +227,24 @@ def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:
                 "metrics": metrics(state, swarm_cfg),
             })
     finally:
-        # Every write has returned before anything is raised, and a failed
-        # write is raised before the error of any later behavior.
+        # The writer answers once, after every write it made, and a failed write is
+        # raised before the error of any later behavior. A Ctrl-C may cut a send short,
+        # which the writer cannot read past: then it writes what it has and sees EOF.
+        error = None
         try:
-            while queued:
-                wait_for_write()
+            if not isinstance(sys.exc_info()[1], KeyboardInterrupt):
+                with contextlib.suppress(OSError):  # the writer has returned; its answer says why
+                    conn.send(None)
+                error = conn.recv()
+        except (EOFError, OSError) as exc:  # only the writer's exit closes its end
+            writer.join()
+            raise RuntimeError(f"the trajectory CSV writer process exited with code "
+                               f"{writer.exitcode} before writing every CSV") from exc
         finally:
             conn.close()
             writer.join()
+        if error is not None:
+            raise error
     _write_text_atomic(out / "metrics.json", _dump_json({"timeline": timeline}))
     return [entry["trajectory_file"] for entry in timeline] + ["metrics.json"]
 

@@ -435,25 +435,47 @@ class TestSimulate:
         assert len(set(writers)) == 1
         assert str(os.getpid()) not in writers
 
-    def test_queued_writes_are_capped(self, tmp_path, monkeypatch):
+    def test_a_failed_write_stops_the_stepping(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "sim"
-        save, run = cli.save_trajectory_csv, cli.run_until_converged
-        written = []  # CSVs in place as each behavior starts to step
+        (out / "trajectory_000_dispersing.csv").mkdir(parents=True)
+        run, stepped = cli.run_until_converged, []
 
-        def slow_save(trajectory, path):
-            time.sleep(0.05)
-            save(trajectory, path)
-
-        def counting_run(state, cfg):
-            written.append(len(list(out.glob("trajectory_*.csv"))))
+        def slow_run(state, cfg):
+            stepped.append(len(stepped))
+            time.sleep(0.1)
             return run(state, cfg)
 
-        monkeypatch.setattr(cli, "save_trajectory_csv", slow_save)
-        monkeypatch.setattr(cli, "run_until_converged", counting_run)
-        assert main(["simulate", "--out", str(out), "--sequence", ",".join(["1"] * 12)]) == 0
-        # At most 8 trajectories wait for the writer, so at most 7 before each behavior.
-        assert len(written) == 12
-        assert all(n >= idx - 7 for idx, n in enumerate(written)), written
+        monkeypatch.setattr(cli, "run_until_converged", slow_run)
+        assert main(["simulate", "--out", str(out), "--sequence", ",".join(["3,4"] * 10)]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory: ")
+        # The writer fails on its first CSV while the second behaviour steps.
+        assert len(stepped) <= 3, stepped
+        assert [p.name for p in out.iterdir()] == ["trajectory_000_dispersing.csv"]
+
+    def test_a_stalled_writer_holds_the_stepping(self, tmp_path):
+        sequence = ",".join(["3,4"] * 20)
+        with stalled_simulate(tmp_path, sequence) as proc:
+            time.sleep(2.0)
+            # Only the pipe's buffer holds trajectories the writer has not taken:
+            # 6 behaviours of 50 drones with a 208 KiB socket buffer.
+            stepped = len((tmp_path / "stepped").read_text())
+            assert 1 <= stepped <= 10, stepped
+        assert proc.returncode == 0
+        assert_written_as_by(tmp_path / "sim", tmp_path / "ok", sequence, 40)
+
+    def test_a_ctrl_c_while_a_send_waits_ends_the_run(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"swarm": {"max_speed": 0.2}}))  # CSVs of 0.7-0.9 MB
+        sequence = ",".join(["3,4"] * 5)
+        with stalled_simulate(tmp_path, sequence, "--config", str(config)) as proc:
+            time.sleep(1.0)
+            proc.send_signal(signal.SIGINT)  # the second trajectory's send is cut short
+            time.sleep(0.5)
+        assert proc.returncode == -signal.SIGINT
+        assert (tmp_path / "stderr").read_text().splitlines()[-1] == "KeyboardInterrupt"
+        assert not (tmp_path / "sim" / "metrics.json").exists()
+        assert_written_as_by(tmp_path / "sim", tmp_path / "ok", sequence, 1,
+                             "--config", str(config))
 
     def test_no_thread_beside_the_main_one_while_stepping(self, tmp_path, monkeypatch):
         run = cli.run_until_converged
@@ -541,6 +563,59 @@ class TestSimulate:
                      "--sequence", "4,3,2,1,3,2"]) == 0
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in out.iterdir()} == digests
+
+
+#: ``simulate`` with a writer that waits for a file ``release`` before each CSV; a dot
+#: is appended to ``stepped`` as each behaviour starts to step.
+_STALLED_SIMULATE = (
+    "import os, sys, time\n"
+    "from swarmbci import cli\n"
+    "save, run = cli.save_trajectory_csv, cli.run_until_converged\n"
+    "def stalled_save(trajectory, path):\n"
+    "    while not os.path.exists('release'):\n"
+    "        time.sleep(0.01)\n"
+    "    save(trajectory, path)\n"
+    "def counting_run(state, cfg):\n"
+    "    with open('stepped', 'a') as fh:\n"
+    "        fh.write('.')\n"
+    "    return run(state, cfg)\n"
+    "cli.save_trajectory_csv, cli.run_until_converged = stalled_save, counting_run\n"
+    "sys.exit(cli.main(['simulate', '--out', 'sim', '--sequence', *sys.argv[1:]]))\n")
+
+
+@contextlib.contextmanager
+def stalled_simulate(cwd, sequence, *flags):
+    """Run ``_STALLED_SIMULATE`` in ``cwd`` in its own session; yield it once it steps.
+
+    Its stderr goes to ``cwd / "stderr"``. On exit the writer is released and the
+    run waited for (10 s at most); what is left of its session is then killed.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with open(cwd / "stderr", "w") as err:
+        proc = subprocess.Popen([sys.executable, "-c", _STALLED_SIMULATE, sequence, *flags],
+                                cwd=cwd, env={**os.environ, "PYTHONPATH": src}, stderr=err,
+                                start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (cwd / "stepped").exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        yield proc
+        (cwd / "release").touch()
+        proc.wait(timeout=10)
+    finally:
+        (cwd / "release").touch()
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def assert_written_as_by(out, ok, sequence, n_csvs, *flags):
+    """``out`` holds ``n_csvs`` trajectory CSVs, each as a clean run into ``ok`` writes it."""
+    assert main(["simulate", "--out", str(ok), "--sequence", sequence, *flags]) == 0
+    written = sorted(p.name for p in out.glob("trajectory_*.csv"))
+    assert len(written) == n_csvs
+    for name in written:
+        assert (out / name).read_bytes() == (ok / name).read_bytes(), name
 
 
 def session_processes(sid):
