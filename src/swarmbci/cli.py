@@ -125,9 +125,9 @@ def cmd_synth(args) -> int:
 
 
 def _evaluate_one(path: str, config: RunConfig, timing: ParadigmTiming,
-                  threads: int) -> tuple[str, CvResult]:
+                  workers: int) -> tuple[str, CvResult]:
     rec = open_recording(path)
-    return rec.subject_id, evaluate_recording(rec, config, timing, threads=threads)
+    return rec.subject_id, evaluate_recording(rec, config, timing, workers=workers)
 
 
 def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
@@ -135,11 +135,11 @@ def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
     results: dict[str, CvResult] = {}
     # A fork-started pool forks all its workers at the first submit: no more than files.
     workers = min(jobs, len(paths))
-    threads = max(1, usable_cpus() // workers)  # the workers split this process's CPUs
+    per_subject = max(1, usable_cpus() // workers)  # the workers split this process's CPUs
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        calls = [pool.submit(_evaluate_one, str(p), config, timing, threads).result
-                 if workers > 1 else partial(_evaluate_one, str(p), config, timing, threads)
+        calls = [pool.submit(_evaluate_one, str(p), config, timing, per_subject).result
+                 if workers > 1 else partial(_evaluate_one, str(p), config, timing, per_subject)
                  for p in paths]
         for path, call in zip(paths, calls):
             try:

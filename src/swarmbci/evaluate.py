@@ -7,8 +7,13 @@ applied before CV, which introduces no leakage.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
+import mmap
+import multiprocessing
 import os
-import threading
+import signal
+import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -134,80 +139,103 @@ def usable_cpus() -> int:
 
 
 def _scatter_stack(rec: Recording | RecordingFile, timing: ParadigmTiming, spec: FilterSpec,
-                   margin: int, threads: int) -> np.ndarray:
+                   margin: int, workers: int) -> np.ndarray:
     """The (n, C(C+1)/2) packed trial scatters, reading and filtering trial by trial.
 
-    ``threads`` threads, this one among them, take the markers in order from one
-    shared iterator. Each filters its windows through its own padded float64
-    buffer, whose pages are faulted in once per subject, not once per trial, and
-    freed when this returns, before the folds. Once a window fails no marker is
-    handed out; those already handed out finish, and the failure of the lowest
-    marker is raised, as a serial loop would raise it. Every thread has ended when
-    this returns or raises.
+    ``workers - 1`` forked children and this process fill one stack in anonymous
+    shared memory, each taking the markers one at a time from a shared counter and
+    writing their rows in place. Each filters its windows through its own padded
+    float64 buffer, whose pages are faulted in once per subject, not once per trial.
+    The counter's lock is a POSIX record lock, which the kernel releases if its holder
+    dies. Once a window fails no marker is handed out; those already handed out
+    finish, and the failure of the lowest marker is raised, as a serial loop would
+    raise it. A child closes its copies of this process's pipe ends and ignores SIGINT;
+    every child has exited when this returns or raises.
     """
-    n_ch = rec.layout.count
+    n_ch, n = rec.layout.count, len(rec.markers)
     padded = spec.padded_len(timing.imagery_len(rec.sampling_rate_hz) + 2 * margin)
-    n = len(rec.markers)
-    scatters = np.empty((n, n_ch * (n_ch + 1) // 2))
-    markers = iter(range(n))
-    lock = threading.Lock()
-    failures: dict[int, BaseException] = {}
+    n_values = n_ch * (n_ch + 1) // 2
+    shared = mmap.mmap(-1, 8 * (n * n_values + 1))
+    scatters = np.frombuffer(shared, count=n * n_values).reshape(n, n_values)
+    next_marker = np.frombuffer(shared, np.int64, 1, offset=8 * n * n_values)
+    # Forked, so that the children share the recording and the stack as they are.
+    context = multiprocessing.get_context("fork")
 
-    def take() -> int | None:
-        with lock:
-            return next(markers, None)
+    def take(stop: bool = False) -> int:
+        """The next marker to read, n once none is left; ``stop`` hands out no more."""
+        fcntl.lockf(lock, fcntl.LOCK_EX)
+        try:
+            i = n if stop else int(next_marker[0])
+            next_marker[0] = min(i + 1, n)
+        finally:
+            fcntl.lockf(lock, fcntl.LOCK_UN)
+        return i
 
-    def stop() -> None:
-        with lock:
-            for _ in markers:  # hand out no more markers
-                pass
-
-    def fill() -> None:
+    def fill() -> tuple[int, Exception] | None:
+        """Fill the rows of the markers this worker takes; its failure, if one."""
         condition = partial(filter_channels, spec, out=np.empty((n_ch, padded)))
-        while (i := take()) is not None:
+        while (i := take()) < n:
             try:
                 (trial,) = extract_trials(rec, timing, condition, margin, range(i, i + 1)).trials
                 scatters[i] = trial_scatter(trial.samples)
-            except BaseException as exc:  # raised by the calling thread, below
-                failures[i] = exc
-                stop()
+            except Exception as exc:  # raised below if no lower marker failed
+                take(stop=True)
+                return i, exc
+        return None
 
-    helpers = [threading.Thread(target=fill) for _ in range(min(threads, n) - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        fill()
-    finally:
-        stop()
-        for helper in helpers:
-            helper.join()
+    def child(conn, parent_conns) -> None:
+        for end in parent_conns:
+            end.close()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with contextlib.suppress(OSError):  # the parent is gone
+            conn.send(fill())
+
+    conns, children = [], []
+    with tempfile.TemporaryFile() as lock:
+        try:
+            for _ in range(min(workers, n) - 1):
+                conn, child_conn = context.Pipe()
+                conns.append(conn)
+                children.append(context.Process(target=child, args=(child_conn, tuple(conns))))
+                children[-1].start()
+                child_conn.close()
+            failures = [f for f in (fill(), *(conn.recv() for conn in conns)) if f is not None]
+        except EOFError:  # only a child's exit closes its end
+            raise RuntimeError("a window worker process exited before it answered") from None
+        finally:
+            take(stop=True)
+            for conn in conns:
+                conn.close()
+            for child_process in children:
+                child_process.join()
     if failures:
-        raise failures[min(failures)]
+        raise min(failures, key=lambda f: f[0])[1]
     return scatters
 
 
 def evaluate_recording(rec: Recording | RecordingFile, config: RunConfig,
                        timing: ParadigmTiming = ParadigmTiming(), *,
-                       threads: int | None = None) -> CvResult:
+                       workers: int | None = None) -> CvResult:
     """Full single-subject pipeline: filter and epoch each trial, cross-validate.
 
     ``rec`` is a Recording or an opened RecordingFile. The markers' labels are
     checked before any window is read. The "continuous" stage filters each trial
     with ``settle_len`` samples of context on both sides, which matches filtering
     the whole recording to within ``SETTLE_TOL``; the "epoch" stage filters the
-    trial alone. Trials are read and filtered on ``threads`` threads (default:
-    one per CPU this process may use), and only their scatter matrices are kept;
-    the result does not depend on the thread count.
+    trial alone. Trials are read and filtered by ``workers`` processes (default:
+    one per CPU this process may use; with one, nothing is forked), and only their
+    scatter matrices are kept; the folds are then fit here, on the stack in place.
+    The result does not depend on the worker count.
     """
-    threads = usable_cpus() if threads is None else threads
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    workers = usable_cpus() if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     labels = np.array([m.event_code for m in rec.markers], dtype=int)
     _folds(labels, config)  # refuses unusable labels before any window is read
     spec = design_bandpass(config.band[0], config.band[1], config.filter_order,
                            rec.sampling_rate_hz)
     margin = spec.settle_len if config.filter_stage == "continuous" else 0
-    scatters = _scatter_stack(rec, timing, spec, margin, threads)
+    scatters = _scatter_stack(rec, timing, spec, margin, workers)
     return cross_validate(scatters, labels, timing.imagery_len(rec.sampling_rate_hz), config)
 
 

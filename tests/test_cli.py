@@ -18,7 +18,8 @@ import pytest
 from swarmbci import cli
 from swarmbci.cli import _write_text_atomic, main
 from swarmbci.config import RunConfig
-from swarmbci.recording import load_recording, save_recording
+from swarmbci.recording import ParadigmTiming, load_recording, save_recording
+from swarmbci.synth import SynthConfig, generate_subject
 
 SMALL_CONFIG = {
     "run": {"seed": 5, "n_pairs": 2},
@@ -250,13 +251,13 @@ class TestEvaluate:
         assert inline_pool == workers
         assert len(read_json(tmp_path / "s.json")["per_subject"]) == files
 
-    @pytest.mark.parametrize("affinity, count, jobs, files, threads",
+    @pytest.mark.parametrize("affinity, count, jobs, files, workers",
                              [(4, 8, "2", 2, 2), (4, 8, "1", 2, 4), (4, 8, "4", 2, 2),
                               (1, 8, "2", 2, 1), (None, 3, "1", 1, 3), (None, None, "1", 1, 1)],
                              ids=["cpus4-jobs2", "cpus4-jobs1", "cpus4-jobs4", "cpus1-jobs2",
                                   "no-affinity-call", "no-affinity-call-no-count"])
     def test_workers_split_the_cpus(self, tmp_path, config_path, subject_dir, inline_pool,
-                                    monkeypatch, affinity, count, jobs, files, threads):
+                                    monkeypatch, affinity, count, jobs, files, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         if affinity is None:  # as on macOS
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -264,12 +265,12 @@ class TestEvaluate:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
                                 raising=False)
         seen, evaluate_recording = [], cli.evaluate_recording
-        monkeypatch.setattr(cli, "evaluate_recording", lambda *args, threads: seen.append(
-            threads) or evaluate_recording(*args, threads=threads))
+        monkeypatch.setattr(cli, "evaluate_recording", lambda *args, workers: seen.append(
+            workers) or evaluate_recording(*args, workers=workers))
         paths = [str(subject_dir / f"subject{i + 1:02d}.nsr") for i in range(files)]
         assert main(["evaluate", *paths, "--config", config_path,
                      "--out", str(tmp_path / "s.json"), "--jobs", jobs]) == 0
-        assert seen == [threads] * files
+        assert seen == [workers] * files
 
     def test_non_finite_sample_named(self, tmp_path, config_path, subject_dir, capsys):
         path = subject_dir / "subject01.nsr"
@@ -283,6 +284,36 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "subject01.nsr" in err
         assert f"channel {rec.layout.names[5]} at sample {onset + 10}" in err
+
+    def test_killed_run_leaves_no_process_and_no_summary(self, tmp_path):
+        # decode_dense's subject: 64 channels at 250 Hz, 800 one-second trials, 10 folds.
+        timing = {"rest_s": 0.5, "cue_s": 0.5, "fixation_s": 0.5, "imagery_s": 1.0}
+        save_recording(generate_subject(SynthConfig(
+            n_channels=64, fs_hz=250.0, trials_per_class=200, timing=ParadigmTiming(**timing),
+            separability=0.3, seed=29)), tmp_path / "dense.nsr")
+        (tmp_path / "config.json").write_text(json.dumps({"timing": timing,
+                                                          "run": {"k_folds": 10}}))
+        argv = [sys.executable, "-m", "swarmbci.cli", "evaluate", str(tmp_path / "dense.nsr"),
+                "--config", str(tmp_path / "config.json"), "--out"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+        def run(out, kill_after=None):
+            return run_in_own_session(argv + [str(out / "summary.json")], kill_after,
+                                      cwd=tmp_path, env=env, stdout=subprocess.DEVNULL)
+
+        start = time.monotonic()
+        run(tmp_path / "clean")
+        duration = time.monotonic() - start
+        clean = (tmp_path / "clean" / "summary.json").read_bytes()
+        rng = random.Random(54)
+        # Once at start-up, then at seeded points of a run as long as the clean one (0.84,
+        # 0.30 and 0.59 of it): while the workers read the windows, and while the folds are fit.
+        for k, delay in enumerate([0.05] + [duration * rng.uniform(0.2, 0.9) for _ in range(3)]):
+            out = tmp_path / f"killed{k}"
+            left = run(out, kill_after=delay)
+            assert not left, f"killed after {delay:.2f} s, left {left}"
+            for p in out.iterdir() if out.exists() else ():  # a summary only if written whole
+                assert p.name == "summary.json" and p.read_bytes() == clean, (delay, p.name)
 
     def test_missing_file(self, tmp_path, config_path, capsys):
         code = main(["evaluate", str(tmp_path / "nope.nsr"),
@@ -516,28 +547,8 @@ class TestSimulate:
         argv = [sys.executable, "-m", "swarmbci.cli", "simulate",
                 "--sequence", ",".join(map(str, codes)), "--out"]
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-
-        def run(out, stderr=None, kill_after=None):
-            """Run the command into ``out`` in its own session; what is left is killed after."""
-            proc = subprocess.Popen(argv + [str(out)], cwd=tmp_path, env=env, stderr=stderr,
-                                    start_new_session=True)
-            try:
-                if kill_after is None:
-                    assert proc.wait(timeout=120) == 0
-                    return []
-                time.sleep(kill_after)
-                proc.kill()  # the command alone, not its session
-                proc.wait(timeout=10)
-                deadline = time.monotonic() + 10.0
-                while session_processes(proc.pid) and time.monotonic() < deadline:
-                    time.sleep(0.02)
-                return session_processes(proc.pid)
-            finally:
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(proc.pid, signal.SIGKILL)
-
         start = time.monotonic()
-        run(tmp_path / "clean")
+        run_in_own_session(argv + [str(tmp_path / "clean")], cwd=tmp_path, env=env)
         duration = time.monotonic() - start
         clean = {p.name: p.read_bytes() for p in (tmp_path / "clean").iterdir()}
         rng = random.Random(6)
@@ -545,7 +556,8 @@ class TestSimulate:
         for k, delay in enumerate([0.05] + [duration * rng.uniform(0.2, 0.9) for _ in range(3)]):
             out = tmp_path / f"killed{k}"
             with open(tmp_path / f"stderr{k}", "w+") as err:
-                left = run(out, err, kill_after=delay)
+                left = run_in_own_session(argv + [str(out)], delay, cwd=tmp_path, env=env,
+                                          stderr=err)
                 assert not left, f"killed after {delay:.2f} s, left {left}"
                 err.seek(0)
                 assert err.read() == ""  # the writer exits quietly
@@ -616,6 +628,27 @@ def assert_written_as_by(out, ok, sequence, n_csvs, *flags):
     assert len(written) == n_csvs
     for name in written:
         assert (out / name).read_bytes() == (ok / name).read_bytes(), name
+
+
+def run_in_own_session(argv, kill_after=None, **popen):
+    """Run ``argv`` in its own session to a zero exit; or, with ``kill_after``, SIGKILL the
+    command alone after that many seconds and return the pids of its session still running
+    10 s later. Whatever is left is killed after."""
+    proc = subprocess.Popen(argv, start_new_session=True, **popen)
+    try:
+        if kill_after is None:
+            assert proc.wait(timeout=120) == 0
+            return []
+        time.sleep(kill_after)
+        proc.kill()  # the command alone, not its session
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10.0
+        while session_processes(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        return session_processes(proc.pid)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
 
 
 def session_processes(sid):

@@ -1,7 +1,7 @@
-import contextlib
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -43,17 +43,6 @@ from swarmbci.recording import (
 from swarmbci.synth import SynthConfig, generate_subject
 
 SMALL_TIMING = ParadigmTiming(0.5, 0.5, 0.5, 2.0)
-
-
-@contextlib.contextmanager
-def switch_interval(seconds):
-    """Run the body with the interpreter switching threads every ``seconds``."""
-    before = sys.getswitchinterval()
-    sys.setswitchinterval(seconds)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(before)
 
 
 def small_subject(separability, seed, trials_per_class=10, n_channels=12, fs=250.0):
@@ -299,59 +288,64 @@ class TestEvaluateRecording:
         expected = cv(ts.trials, cfg.k_folds, cfg.seed, cfg)
         reference = np.stack([trial_scatter(t.samples) for t in ts.trials])
         alive = threading.active_count()
-        # Threads switched as often as the interpreter allows: a filter buffer shared
-        # between threads, or a window left unfilled, changes the stack.
-        with switch_interval(1e-6):
-            for source, threads in itertools.product(
-                    (rec, open_recording(tmp_path / "r.nsr")), (1, 2, 3)):
-                got = evaluate_recording(source, cfg, SMALL_TIMING, threads=threads)
-                assert json.dumps(asdict(got), sort_keys=True) == json.dumps(asdict(expected),
-                                                                            sort_keys=True)
-                assert threading.active_count() == alive
-                scatters = _scatter_stack(source, SMALL_TIMING, spec, margin, threads)
-                assert scatters.tobytes() == reference.tobytes()
+        # A filter buffer shared between workers, or a row left unfilled, changes the stack.
+        for source, workers in itertools.product(
+                (rec, open_recording(tmp_path / "r.nsr")), (1, 2, 3)):
+            got = evaluate_recording(source, cfg, SMALL_TIMING, workers=workers)
+            assert json.dumps(asdict(got), sort_keys=True) == json.dumps(asdict(expected),
+                                                                        sort_keys=True)
+            assert threading.active_count() == alive
+            assert multiprocessing.active_children() == []
+            scatters = _scatter_stack(source, SMALL_TIMING, spec, margin, workers)
+            assert scatters.tobytes() == reference.tobytes()
 
     def test_recording_without_trials_rejected(self):
         rec = Recording("none", 250.0, ChannelLayout.generic(4), np.zeros((4, 2000)))
         with pytest.raises(ValueError, match="empty"):
             evaluate_recording(rec, RunConfig(), SMALL_TIMING)
 
-    def test_first_failing_marker_named_whichever_thread_fails_first(self, monkeypatch):
+    def test_first_failing_marker_named_whoever_fails_first(self, monkeypatch, tmp_path):
         rec = small_subject(0.9, seed=45)
         for i, ch, offset in ((2, 3, 100), (5, 7, 10)):
             rec.data[ch, rec.markers[i].sample_index + offset] = np.nan
         expected = (f"channel {rec.layout.names[3]} at sample "
                     f"{rec.markers[2].sample_index + 100}$")
-        onset, window, threads = rec.markers[2].sample_index, Recording.window, 3
-        log, log_lock = [], threading.Lock()
+        onset, window, workers = rec.markers[2].sample_index, Recording.window, 3
+        log = tmp_path / "log"
 
         def slow_for_marker_2(self, start, stop):
-            if start <= onset < stop:  # so marker 5 fails first, on another thread
+            if start <= onset < stop:  # so marker 5 fails first, in another worker
                 time.sleep(0.02)
             return window(self, start, stop)
 
+        def note(line):  # one append per line, whichever process writes it
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, line.encode() + b"\n")
+            finally:
+                os.close(fd)
+
         def logged_extract_trials(*args, **kwargs):  # one call per marker handed out
-            with log_lock:
-                log.append("handed out")
+            note("handed out")
             try:
                 return extract_trials(*args, **kwargs)
             except ValueError:
-                with log_lock:
-                    log.append("failed")
+                note("failed")
                 raise
 
         monkeypatch.setattr(Recording, "window", slow_for_marker_2)
         monkeypatch.setattr(evaluate, "extract_trials", logged_extract_trials)
         alive = threading.active_count()
-        with switch_interval(1e-6):
-            for _ in range(20):
-                log.clear()
-                with pytest.raises(ValueError, match=expected):
-                    evaluate_recording(rec, RunConfig(seed=1, n_pairs=2), SMALL_TIMING,
-                                       threads=threads)
-                assert threading.active_count() == alive
-                # Once a window fails, only the markers the other threads already hold are read.
-                assert log[log.index("failed"):].count("handed out") <= threads - 1
+        for _ in range(20):
+            log.unlink(missing_ok=True)
+            with pytest.raises(ValueError, match=expected):
+                evaluate_recording(rec, RunConfig(seed=1, n_pairs=2), SMALL_TIMING,
+                                   workers=workers)
+            assert threading.active_count() == alive
+            assert multiprocessing.active_children() == []
+            # Once a window fails, only the markers the other workers already hold are read.
+            lines = log.read_text().splitlines()
+            assert lines[lines.index("failed"):].count("handed out") <= workers - 1
 
     @pytest.mark.parametrize("from_file", [False, True], ids=["recording", "file"])
     def test_unusable_labels_refused_before_any_window_is_read(self, from_file, tmp_path,
@@ -370,9 +364,54 @@ class TestEvaluateRecording:
             evaluate_recording(rec, RunConfig(k_folds=5), SMALL_TIMING)
         assert reads == []
 
-    def test_threads_below_one_rejected(self):
-        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
-            evaluate_recording(small_subject(0.9, seed=47), RunConfig(), SMALL_TIMING, threads=0)
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            evaluate_recording(small_subject(0.9, seed=47), RunConfig(), SMALL_TIMING, workers=0)
+
+    def test_ctrl_c_joins_every_worker(self, monkeypatch):
+        here, extract = os.getpid(), evaluate.extract_trials
+
+        def interrupted_here(*args, **kwargs):  # the forked workers read on
+            if os.getpid() == here:
+                raise KeyboardInterrupt
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "extract_trials", interrupted_here)
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_recording(small_subject(0.9, seed=49), RunConfig(seed=1, n_pairs=2),
+                               SMALL_TIMING, workers=3)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_an_error(self, monkeypatch):
+        here, extract = os.getpid(), evaluate.extract_trials
+
+        def dying_in_a_worker(*args, **kwargs):  # its marker's row is never written
+            if os.getpid() != here:
+                os._exit(3)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "extract_trials", dying_in_a_worker)
+        with pytest.raises(RuntimeError, match="a window worker process exited before it answered"):
+            evaluate_recording(small_subject(0.9, seed=50), RunConfig(seed=1, n_pairs=2),
+                               SMALL_TIMING, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing, named", [((0, 1), 0), ((1,), 1), ((1, 2), 1)])
+    def test_lowest_failing_fold_named(self, monkeypatch, failing, named):
+        rec = small_subject(0.9, seed=48)
+        config = RunConfig(seed=1, n_pairs=2)
+        folds = stratified_kfold([m.event_code for m in rec.markers], config.k_folds, config.seed)
+        fit = evaluate.fit_decoder
+
+        def failing_fit(scatters, labels, n_samples, config, train):
+            if folds[np.argmin(train)] in failing:  # the fold held out
+                raise ValueError("planted failure")
+            return fit(scatters, labels, n_samples, config, train=train)
+
+        monkeypatch.setattr(evaluate, "fit_decoder", failing_fit)
+        with pytest.raises(ValueError, match=f"^fold {named}: planted failure$"):
+            evaluate_recording(rec, config, SMALL_TIMING, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 #: Seeded 250 Hz subjects of 160 one-second trials: (channels, separability, seed). They
@@ -394,10 +433,10 @@ class TestAgainstTheTextbookChain:
         config = RunConfig(seed=seed)
         return rec, config, reference_chain.cross_validate(rec, TEXTBOOK_TIMING, config)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_predictions_equal_the_reference(self, subject, threads):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_predictions_equal_the_reference(self, subject, workers):
         rec, config, (expected, margin) = subject
-        res = evaluate_recording(rec, config, TEXTBOOK_TIMING, threads=threads)
+        res = evaluate_recording(rec, config, TEXTBOOK_TIMING, workers=workers)
         got, labels = np.array(res.predicted_labels), np.array(res.true_labels)
         differ = np.flatnonzero(got != expected)
         for i in differ:  # a near-tie in the reference may fall either way
@@ -424,8 +463,8 @@ def test_memory_grows_with_the_scatters_not_the_trials():
     peak = {}
     for m, rec in recs.items():
         tracemalloc.start()
-        try:
-            evaluate_recording(rec, RunConfig(), timing)
+        try:  # one worker: tracemalloc sees neither a child's allocations nor the mapped stack
+            evaluate_recording(rec, RunConfig(), timing, workers=1)
             peak[m] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -442,12 +481,44 @@ def test_evaluate_holds_the_scatters_packed():
     evaluate_recording(_random_recording(40, n_channels=n_ch, timing=timing), RunConfig(),
                        timing)  # imports SciPy untraced
     tracemalloc.start()
-    try:
-        evaluate_recording(rec, RunConfig(), timing)
+    try:  # one worker, as above
+        evaluate_recording(rec, RunConfig(), timing, workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < n * n_ch * n_ch * 8
+
+
+#: Run in a fresh interpreter: ``evaluate_recording`` of a decode_dense-shaped subject.
+_EVALUATE_DENSE = textwrap.dedent("""
+    import sys
+    from swarmbci.config import RunConfig
+    from swarmbci.evaluate import evaluate_recording
+    from swarmbci.recording import ParadigmTiming, open_recording
+    evaluate_recording(open_recording(sys.argv[1]), RunConfig(k_folds=10),
+                       ParadigmTiming(0.5, 0.5, 0.5, 1.0), workers=int(sys.argv[2]))
+""")
+
+
+def test_forked_workers_leave_the_peak_rss_as_one_process(tmp_path):
+    # decode_dense's shape: 64 channels at 250 Hz and 800 one-second trials, so a 13 MB
+    # packed stack. The workers write their rows into one shared stack, which the folds
+    # then read in place; the largest process peaks as one worker does.
+    timing = ParadigmTiming(0.5, 0.5, 0.5, 1.0)
+    path = tmp_path / "dense.nsr"
+    save_recording(generate_subject(SynthConfig(n_channels=64, fs_hz=250.0,
+                                                trials_per_class=200, timing=timing,
+                                                separability=0.3, seed=8)), path)
+    src = str(Path(swarmbci.__file__).resolve().parents[1])
+    peak = {}
+    for workers in (1, 2):
+        proc = subprocess.Popen([sys.executable, "-c", _EVALUATE_DENSE, str(path), str(workers)],
+                                env={**os.environ, "PYTHONPATH": src})
+        _, status, usage = os.wait4(proc.pid, 0)  # the largest of it and its children
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        peak[workers] = usage.ru_maxrss
+    assert peak[2] <= 1.05 * peak[1], peak
 
 
 def test_folds_copy_no_part_of_the_scatter_stack():
