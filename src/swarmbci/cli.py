@@ -7,18 +7,15 @@ import contextlib
 import dataclasses
 import gc
 import json
-import multiprocessing
 import os
-import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 import swarmbci
 from swarmbci.config import RunConfig, dataclass_from_dict, json_type_matches
-from swarmbci.evaluate import CvResult, evaluate_recording, summarize_group, usable_cpus
+from swarmbci.evaluate import (CvResult, evaluate_recording, fork_map, forked, summarize_group,
+                               usable_cpus)
 from swarmbci.recording import ParadigmTiming, open_recording, save_recording
 from swarmbci.swarm import (
     SwarmConfig,
@@ -132,23 +129,19 @@ def _evaluate_one(path: str, config: RunConfig, timing: ParadigmTiming,
 
 def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
                     jobs: int) -> dict[str, CvResult]:
+    per_subject = max(1, usable_cpus() // min(jobs, len(paths)))  # the subjects split the CPUs
+
+    def evaluate(i: int) -> tuple[str, CvResult]:
+        try:
+            return _evaluate_one(str(paths[i]), config, timing, per_subject)
+        except Exception as exc:
+            raise RuntimeError(f"evaluation of {paths[i]} failed: {exc}") from exc
+
     results: dict[str, CvResult] = {}
-    # A fork-started pool forks all its workers at the first submit: no more than files.
-    workers = min(jobs, len(paths))
-    per_subject = max(1, usable_cpus() // workers)  # the workers split this process's CPUs
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        calls = [pool.submit(_evaluate_one, str(p), config, timing, per_subject).result
-                 if workers > 1 else partial(_evaluate_one, str(p), config, timing, per_subject)
-                 for p in paths]
-        for path, call in zip(paths, calls):
-            try:
-                subject_id, result = call()
-            except Exception as exc:
-                raise RuntimeError(f"evaluation of {path} failed: {exc}") from exc
-            if subject_id in results:
-                raise ValueError(f"duplicate subject_id {subject_id!r} across input files")
-            results[subject_id] = result
+    for subject_id, result in fork_map(evaluate, len(paths), jobs, "subject"):
+        if subject_id in results:
+            raise ValueError(f"duplicate subject_id {subject_id!r} across input files")
+        results[subject_id] = result
     return results
 
 
@@ -168,28 +161,25 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _write_trajectories(conn, parent_conn) -> None:
+def _write_trajectories(conn) -> None:
     """The writer process: write each ``(trajectory, path)`` received on ``conn`` as its CSV.
 
     Writes run in order, atomically, until None arrives; then the writer answers
     once, with None. A failed write is answered at once with its exception, and
-    the writer returns without writing more. The writer closes its copy of
-    ``parent_conn``, so once the parent closes its end or dies, the writer writes
-    what the pipe holds and returns at EOF (or when it cannot answer). It ignores
-    SIGINT: a Ctrl-C reaches the parent, which then waits for the writes already sent.
+    the writer returns without writing more. ``forked`` leaves the writer no copy of
+    the parent's end, so once the parent closes it or dies, the writer writes what the
+    pipe holds and returns at EOF (or when it cannot answer); the writer ignores SIGINT,
+    so a Ctrl-C reaches the parent, which then waits for the writes already sent.
     """
-    parent_conn.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    with contextlib.suppress(EOFError, OSError):  # the parent is gone
-        error = None
-        for trajectory, path in iter(conn.recv, None):
-            try:
-                with _atomic_path(path) as tmp:
-                    save_trajectory_csv(trajectory, tmp)
-            except Exception as exc:
-                error = exc
-                break
-        conn.send(error)
+    error = None
+    for trajectory, path in iter(conn.recv, None):
+        try:
+            with _atomic_path(path) as tmp:
+                save_trajectory_csv(trajectory, tmp)
+        except Exception as exc:
+            error = exc
+            break
+    conn.send(error)
 
 
 def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:
@@ -203,48 +193,40 @@ def _simulate_sequence(codes, swarm_cfg: SwarmConfig, out: Path) -> list[str]:
     state = init_swarm(swarm_cfg)
     timeline = []
     # No other thread runs in this process, so the fork copies no lock that a thread holds.
-    context = multiprocessing.get_context("fork")
-    conn, writer_conn = context.Pipe()
-    writer = context.Process(target=_write_trajectories, args=(writer_conn, conn))
-    writer.start()
-    writer_conn.close()
-    try:
-        for idx, (code, name) in enumerate(zip(codes, names)):
-            try:
-                state = set_behavior(state, name, swarm_cfg, seed=swarm_cfg.seed + idx)
-                state, trajectory, steps = run_until_converged(state, swarm_cfg)
-            except ValueError as exc:
-                raise ValueError(f"behaviour {idx} ({name}): {exc}") from exc
-            fname = f"trajectory_{idx:03d}_{name.lower()}.csv"
-            conn.send((trajectory, out / fname))  # waits while the pipe is full
-            timeline.append({
-                "index": idx,
-                "code": int(code),
-                "behavior": name,
-                "steps": steps,
-                "converged": converged(state),
-                "trajectory_file": fname,
-                "metrics": metrics(state, swarm_cfg),
-            })
-    finally:
-        # The writer answers once, after every write it made, and a failed write is
-        # raised before the error of any later behavior. A Ctrl-C may cut a send short,
-        # which the writer cannot read past: then it writes what it has and sees EOF.
-        error = None
+    with forked(_write_trajectories, 1) as (conn,):
         try:
-            if not isinstance(sys.exc_info()[1], KeyboardInterrupt):
-                with contextlib.suppress(OSError):  # the writer has returned; its answer says why
-                    conn.send(None)
-                error = conn.recv()
-        except (EOFError, OSError) as exc:  # only the writer's exit closes its end
-            writer.join()
-            raise RuntimeError(f"the trajectory CSV writer process exited with code "
-                               f"{writer.exitcode} before writing every CSV") from exc
+            for idx, (code, name) in enumerate(zip(codes, names)):
+                try:
+                    state = set_behavior(state, name, swarm_cfg, seed=swarm_cfg.seed + idx)
+                    state, trajectory, steps = run_until_converged(state, swarm_cfg)
+                except ValueError as exc:
+                    raise ValueError(f"behaviour {idx} ({name}): {exc}") from exc
+                fname = f"trajectory_{idx:03d}_{name.lower()}.csv"
+                conn.send((trajectory, out / fname))  # waits while the pipe is full
+                timeline.append({
+                    "index": idx,
+                    "code": int(code),
+                    "behavior": name,
+                    "steps": steps,
+                    "converged": converged(state),
+                    "trajectory_file": fname,
+                    "metrics": metrics(state, swarm_cfg),
+                })
         finally:
-            conn.close()
-            writer.join()
-        if error is not None:
-            raise error
+            # The writer answers once, after every write it made, and a failed write is
+            # raised before the error of any later behavior. A Ctrl-C may cut a send short,
+            # which the writer cannot read past: then it writes what it has and sees EOF.
+            error = None
+            try:
+                if not isinstance(sys.exc_info()[1], KeyboardInterrupt):
+                    with contextlib.suppress(OSError):  # the writer returned; its answer says why
+                        conn.send(None)
+                    error = conn.recv()
+            except (EOFError, OSError) as exc:  # only the writer's exit closes its end
+                raise RuntimeError("the trajectory CSV writer process exited before "
+                                   "writing every CSV") from exc
+            if error is not None:
+                raise error
     _write_text_atomic(out / "metrics.json", _dump_json({"timeline": timeline}))
     return [entry["trajectory_file"] for entry in timeline] + ["metrics.json"]
 

@@ -1,4 +1,5 @@
-"""Stratified k-fold cross-validation and accuracy reporting.
+"""Stratified k-fold cross-validation and accuracy reporting; and ``forked`` and
+``fork_map``, through which the package makes every child process.
 
 The decoder for each fold (CSP and LDA both) is fit strictly on the
 other k-1 folds; the bandpass filter is parameter-fixed a priori and
@@ -138,78 +139,105 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1  # no affinity call on this platform (macOS)
 
 
-def _scatter_stack(rec: Recording | RecordingFile, timing: ParadigmTiming, spec: FilterSpec,
-                   margin: int, workers: int) -> np.ndarray:
-    """The (n, C(C+1)/2) packed trial scatters, reading and filtering trial by trial.
+@contextlib.contextmanager
+def forked(target, count: int):
+    """Fork ``count`` children, each running ``target(conn)`` on its own pipe; yield this
+    process's ends. No other thread may run here: the children share its memory.
 
-    ``workers - 1`` forked children and this process fill one stack in anonymous
-    shared memory, each taking the markers one at a time from a shared counter and
-    writing their rows in place. Each filters its windows through its own padded
-    float64 buffer, whose pages are faulted in once per subject, not once per trial.
-    The counter's lock is a POSIX record lock, which the kernel releases if its holder
-    dies. Once a window fails no marker is handed out; those already handed out
-    finish, and the failure of the lowest marker is raised, as a serial loop would
-    raise it. A child closes its copies of this process's pipe ends and ignores SIGINT;
-    every child has exited when this returns or raises.
+    A child ignores SIGINT and closes its copies of this process's ends; an ``EOFError``
+    or ``OSError`` in it means this process is gone. On every way out of the block,
+    ``KeyboardInterrupt`` included, this process closes its ends and joins every child.
     """
-    n_ch, n = rec.layout.count, len(rec.markers)
-    padded = spec.padded_len(timing.imagery_len(rec.sampling_rate_hz) + 2 * margin)
-    n_values = n_ch * (n_ch + 1) // 2
-    shared = mmap.mmap(-1, 8 * (n * n_values + 1))
-    scatters = np.frombuffer(shared, count=n * n_values).reshape(n, n_values)
-    next_marker = np.frombuffer(shared, np.int64, 1, offset=8 * n * n_values)
-    # Forked, so that the children share the recording and the stack as they are.
     context = multiprocessing.get_context("fork")
+    conns, children = [], []
+
+    def child(conn, parent_conns) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for end in parent_conns:
+            end.close()
+        with contextlib.suppress(EOFError, OSError):  # this process is gone
+            target(conn)
+
+    try:
+        for _ in range(count):
+            conn, child_conn = context.Pipe()
+            conns.append(conn)
+            children.append(context.Process(target=child, args=(child_conn, tuple(conns))))
+            children[-1].start()
+            child_conn.close()
+        yield tuple(conns)
+    finally:
+        for conn in conns:
+            conn.close()
+        for child_process in children:
+            child_process.join()
+
+
+def fork_map(fn, n: int, workers: int, name: str) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, by ``min(workers, n)`` forked children (here if one);
+    this process only waits. The children take the indices one at a time from a shared
+    counter, whose POSIX record lock the kernel releases if its holder dies. After a
+    failure or a Ctrl-C, or once a child's parent is gone, no index is handed out; the
+    failure of the lowest index is raised, as a loop here would raise it.
+    """
+    count = min(workers, n)
+    if count <= 1:
+        return [fn(i) for i in range(n)]
+    here = os.getpid()
+    next_index = np.frombuffer(mmap.mmap(-1, 8), np.int64, 1)
 
     def take(stop: bool = False) -> int:
-        """The next marker to read, n once none is left; ``stop`` hands out no more."""
+        """The next index, n once none is left; ``stop`` hands out no more."""
         fcntl.lockf(lock, fcntl.LOCK_EX)
         try:
-            i = n if stop else int(next_marker[0])
-            next_marker[0] = min(i + 1, n)
+            i = n if stop or os.getppid() != here else int(next_index[0])
+            next_index[0] = min(i + 1, n)
         finally:
             fcntl.lockf(lock, fcntl.LOCK_UN)
         return i
 
-    def fill() -> tuple[int, Exception] | None:
-        """Fill the rows of the markers this worker takes; its failure, if one."""
-        condition = partial(filter_channels, spec, out=np.empty((n_ch, padded)))
-        while (i := take()) < n:
+    def work(conn) -> None:  # sends this child's results by index, and its failure
+        results, failure = {}, None
+        while (i := take(stop=failure is not None)) < n:
             try:
-                (trial,) = extract_trials(rec, timing, condition, margin, range(i, i + 1)).trials
-                scatters[i] = trial_scatter(trial.samples)
-            except Exception as exc:  # raised below if no lower marker failed
-                take(stop=True)
-                return i, exc
-        return None
+                results[i] = fn(i)
+            except Exception as exc:  # raised below if no lower index failed
+                failure = i, exc
+        conn.send((results, failure))
 
-    def child(conn, parent_conns) -> None:
-        for end in parent_conns:
-            end.close()
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        with contextlib.suppress(OSError):  # the parent is gone
-            conn.send(fill())
-
-    conns, children = [], []
-    with tempfile.TemporaryFile() as lock:
+    with tempfile.TemporaryFile() as lock, forked(work, count) as conns:
         try:
-            for _ in range(min(workers, n) - 1):
-                conn, child_conn = context.Pipe()
-                conns.append(conn)
-                children.append(context.Process(target=child, args=(child_conn, tuple(conns))))
-                children[-1].start()
-                child_conn.close()
-            failures = [f for f in (fill(), *(conn.recv() for conn in conns)) if f is not None]
+            answers = [conn.recv() for conn in conns]
         except EOFError:  # only a child's exit closes its end
-            raise RuntimeError("a window worker process exited before it answered") from None
+            raise RuntimeError(f"a {name} process exited before it answered") from None
         finally:
             take(stop=True)
-            for conn in conns:
-                conn.close()
-            for child_process in children:
-                child_process.join()
+    results = {i: result for done, _ in answers for i, result in done.items()}
+    failures = [failure for _, failure in answers if failure is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
+    return [results[i] for i in range(n)]
+
+
+def _scatter_stack(rec: Recording | RecordingFile, timing: ParadigmTiming, spec: FilterSpec,
+                   margin: int, workers: int) -> np.ndarray:
+    """The (n, C(C+1)/2) packed trial scatters, reading and filtering trial by trial.
+
+    ``fork_map`` hands the markers to ``workers`` processes, which write their rows in
+    place into one stack in anonymous shared memory. Each filters through its own copy
+    of one padded float64 buffer, allocated once, so its pages fault in once per subject.
+    """
+    n_ch, n = rec.layout.count, len(rec.markers)
+    padded = spec.padded_len(timing.imagery_len(rec.sampling_rate_hz) + 2 * margin)
+    n_values = n_ch * (n_ch + 1) // 2
+    scatters = np.frombuffer(mmap.mmap(-1, 8 * n * n_values)).reshape(n, n_values)
+    condition = partial(filter_channels, spec, out=np.empty((n_ch, padded)))
+
+    def fill(i: int) -> None:
+        (trial,) = extract_trials(rec, timing, condition, margin, range(i, i + 1)).trials
+        scatters[i] = trial_scatter(trial.samples)
+
+    fork_map(fill, n, workers, "window worker")
     return scatters
 
 
@@ -222,9 +250,9 @@ def evaluate_recording(rec: Recording | RecordingFile, config: RunConfig,
     checked before any window is read. The "continuous" stage filters each trial
     with ``settle_len`` samples of context on both sides, which matches filtering
     the whole recording to within ``SETTLE_TOL``; the "epoch" stage filters the
-    trial alone. Trials are read and filtered by ``workers`` processes (default:
-    one per CPU this process may use; with one, nothing is forked), and only their
-    scatter matrices are kept; the folds are then fit here, on the stack in place.
+    trial alone. Trials are read and filtered by ``workers`` forked processes (default:
+    one per CPU this process may use; with one, here), and only their scatter matrices
+    are kept; with every child joined, the folds are fit here, on the stack in place.
     The result does not depend on the worker count.
     """
     workers = usable_cpus() if workers is None else workers

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -9,13 +10,13 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
+from sessions import run_in_own_session
 
-from swarmbci import cli
+from swarmbci import cli, evaluate
 from swarmbci.cli import _write_text_atomic, main
 from swarmbci.config import RunConfig
 from swarmbci.recording import ParadigmTiming, load_recording, save_recording
@@ -38,27 +39,17 @@ def config_path(tmp_path):
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Runs each call of ``cli``'s process pools in this process; lists their ``max_workers``."""
-    created = []
+def forks(monkeypatch):
+    """Lists the child count of each ``forked`` call that ``fork_map`` makes in this process
+    (a child's calls land in its own copy of the list); each call forks as it would."""
+    counts, forked = [], evaluate.forked
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
+    def counting_forked(target, count):
+        counts.append(count)
+        return forked(target, count)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    return created
+    monkeypatch.setattr(evaluate, "forked", counting_forked)
+    return counts
 
 
 @pytest.fixture
@@ -229,26 +220,49 @@ class TestEvaluate:
         assert "error: --jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_only_the_failed_file_named(self, tmp_path, config_path, subject_dir, capsys, jobs):
-        bad = subject_dir / "subject02.nsr"
-        bad.write_bytes(bad.read_bytes()[:-3])
-        code = main(["evaluate", str(subject_dir / "subject01.nsr"), str(bad),
-                     "--config", config_path, "--out", str(tmp_path / "s.json"),
-                     "--jobs", jobs])
+    @pytest.mark.parametrize("jobs, corrupt", [
+        pytest.param("1", ["subject02"], id="1"),
+        pytest.param("2", ["subject02"], id="2"),
+        pytest.param("2", ["subject01", "subject02"], id="2-both-corrupt"),
+    ])
+    def test_only_the_failed_file_named(self, tmp_path, config_path, subject_dir, capsys, jobs,
+                                        corrupt):
+        for name in corrupt:
+            bad = subject_dir / f"{name}.nsr"
+            bad.write_bytes(bad.read_bytes()[:-3])
+        code = main(["evaluate", str(subject_dir / "subject01.nsr"),
+                     str(subject_dir / "subject02.nsr"), "--config", config_path,
+                     "--out", str(tmp_path / "s.json"), "--jobs", jobs])
         assert code == 1
         err = capsys.readouterr().err
-        assert "subject02.nsr" in err and "payload" in err
-        assert "subject01.nsr" not in err
+        named = corrupt[0]  # the first failing file in input order
+        other = "subject02" if named == "subject01" else "subject01"
+        assert f"{named}.nsr" in err and "payload" in err
+        assert f"{other}.nsr" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_duplicate_subject_id_refused(self, tmp_path, config_path, subject_dir, capsys,
+                                          jobs):
+        copy = tmp_path / "copy.nsr"
+        copy.write_bytes((subject_dir / "subject01.nsr").read_bytes())
+        out = tmp_path / "s.json"
+        code = main(["evaluate", str(subject_dir / "subject01.nsr"), str(copy),
+                     "--config", config_path, "--out", str(out), "--jobs", jobs])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: duplicate subject_id 'subject01' across input files\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs, files, workers", [("8", 2, [2]), ("2", 1, [])],
                              ids=["jobs8-files2", "jobs2-files1"])
-    def test_no_more_workers_than_files(self, tmp_path, config_path, subject_dir, inline_pool,
-                                        jobs, files, workers):
+    def test_no_more_workers_than_files(self, tmp_path, config_path, subject_dir, forks,
+                                        monkeypatch, jobs, files, workers):
+        # One CPU, so that each subject's windows are read where it is evaluated.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         paths = [str(subject_dir / f"subject{i + 1:02d}.nsr") for i in range(files)]
         assert main(["evaluate", *paths, "--config", config_path,
                      "--out", str(tmp_path / "s.json"), "--jobs", jobs]) == 0
-        assert inline_pool == workers
+        assert forks == workers
         assert len(read_json(tmp_path / "s.json")["per_subject"]) == files
 
     @pytest.mark.parametrize("affinity, count, jobs, files, workers",
@@ -256,21 +270,45 @@ class TestEvaluate:
                               (1, 8, "2", 2, 1), (None, 3, "1", 1, 3), (None, None, "1", 1, 1)],
                              ids=["cpus4-jobs2", "cpus4-jobs1", "cpus4-jobs4", "cpus1-jobs2",
                                   "no-affinity-call", "no-affinity-call-no-count"])
-    def test_workers_split_the_cpus(self, tmp_path, config_path, subject_dir, inline_pool,
-                                    monkeypatch, affinity, count, jobs, files, workers):
+    def test_workers_split_the_cpus(self, tmp_path, config_path, subject_dir, monkeypatch,
+                                    affinity, count, jobs, files, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         if affinity is None:  # as on macOS
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
                                 raising=False)
-        seen, evaluate_recording = [], cli.evaluate_recording
-        monkeypatch.setattr(cli, "evaluate_recording", lambda *args, workers: seen.append(
-            workers) or evaluate_recording(*args, workers=workers))
+        seen, evaluate_recording = tmp_path / "seen", cli.evaluate_recording
+
+        def noted_evaluate_recording(*args, workers):  # one line a subject, from any process
+            with open(seen, "a") as fh:
+                fh.write(f"{workers}\n")
+            return evaluate_recording(*args, workers=workers)
+
+        monkeypatch.setattr(cli, "evaluate_recording", noted_evaluate_recording)
         paths = [str(subject_dir / f"subject{i + 1:02d}.nsr") for i in range(files)]
         assert main(["evaluate", *paths, "--config", config_path,
                      "--out", str(tmp_path / "s.json"), "--jobs", jobs]) == 0
-        assert seen == [workers] * files
+        assert seen.read_text().split() == [str(workers)] * files
+
+    def test_ctrl_c_with_jobs_joins_every_worker(self, tmp_path, config_path, subject_dir,
+                                                 monkeypatch):
+        here, evaluate_one = os.getpid(), cli._evaluate_one
+
+        def interrupting(path, *args):  # one SIGINT, while the command waits for its children
+            if path.endswith("subject01.nsr"):
+                time.sleep(0.2)  # a SIGINT that lands in os.fork's at-fork hooks is swallowed
+                os.kill(here, signal.SIGINT)
+            return evaluate_one(path, *args)
+
+        monkeypatch.setattr(cli, "_evaluate_one", interrupting)
+        out = tmp_path / "s.json"
+        with pytest.raises(KeyboardInterrupt):
+            main(["evaluate", str(subject_dir / "subject01.nsr"),
+                  str(subject_dir / "subject02.nsr"), "--config", config_path,
+                  "--out", str(out), "--jobs", "2"])
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
 
     def test_non_finite_sample_named(self, tmp_path, config_path, subject_dir, capsys):
         path = subject_dir / "subject01.nsr"
@@ -293,27 +331,26 @@ class TestEvaluate:
             separability=0.3, seed=29)), tmp_path / "dense.nsr")
         (tmp_path / "config.json").write_text(json.dumps({"timing": timing,
                                                           "run": {"k_folds": 10}}))
-        argv = [sys.executable, "-m", "swarmbci.cli", "evaluate", str(tmp_path / "dense.nsr"),
-                "--config", str(tmp_path / "config.json"), "--out"]
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        # Killed at 0.84, 0.30 and 0.59 of a clean run: while the workers read the windows,
+        # and while the folds are fit.
+        assert_killed_evaluate_leaves_nothing(tmp_path, [str(tmp_path / "dense.nsr"), "--config",
+                                                         str(tmp_path / "config.json")], 54)
 
-        def run(out, kill_after=None):
-            return run_in_own_session(argv + [str(out / "summary.json")], kill_after,
-                                      cwd=tmp_path, env=env, stdout=subprocess.DEVNULL)
-
-        start = time.monotonic()
-        run(tmp_path / "clean")
-        duration = time.monotonic() - start
-        clean = (tmp_path / "clean" / "summary.json").read_bytes()
-        rng = random.Random(54)
-        # Once at start-up, then at seeded points of a run as long as the clean one (0.84,
-        # 0.30 and 0.59 of it): while the workers read the windows, and while the folds are fit.
-        for k, delay in enumerate([0.05] + [duration * rng.uniform(0.2, 0.9) for _ in range(3)]):
-            out = tmp_path / f"killed{k}"
-            left = run(out, kill_after=delay)
-            assert not left, f"killed after {delay:.2f} s, left {left}"
-            for p in out.iterdir() if out.exists() else ():  # a summary only if written whole
-                assert p.name == "summary.json" and p.read_bytes() == clean, (delay, p.name)
+    def test_killed_jobs_run_leaves_no_process_and_no_summary(self, tmp_path):
+        # Three subjects of decode_dense's shape, 64 channels at 250 Hz, with 200 trials each,
+        # evaluated by two forked subject processes; killed at 0.29, 0.58 and 0.70 of a clean run.
+        # One BLAS thread a process: with BLAS's default two, the two processes' folds
+        # oversubscribe two CPUs and the clean run, which sets the kill points, took 0.8-2.8 s.
+        timing = {"rest_s": 0.5, "cue_s": 0.5, "fixation_s": 0.5, "imagery_s": 1.0}
+        paths = [tmp_path / f"subject{i + 1:02d}.nsr" for i in range(3)]
+        for i, path in enumerate(paths):
+            save_recording(generate_subject(SynthConfig(
+                n_channels=64, fs_hz=250.0, trials_per_class=50, separability=0.3, seed=30 + i,
+                timing=ParadigmTiming(**timing)), subject_id=path.stem), path)
+        (tmp_path / "config.json").write_text(json.dumps({"timing": timing}))
+        assert_killed_evaluate_leaves_nothing(tmp_path, [*map(str, paths), "--jobs", "2",
+                                                         "--config", str(tmp_path / "config.json")],
+                                              48, OPENBLAS_NUM_THREADS="1")
 
     def test_missing_file(self, tmp_path, config_path, capsys):
         code = main(["evaluate", str(tmp_path / "nope.nsr"),
@@ -577,6 +614,31 @@ class TestSimulate:
                 for p in out.iterdir()} == digests
 
 
+def assert_killed_evaluate_leaves_nothing(cwd, args, seed, **env):
+    """Run ``evaluate *args`` in its own session, with ``env`` added to its environment, to
+    a clean summary; then SIGKILL it once at start-up and at three points drawn with ``seed``
+    from a run as long as the clean one. Each time no process of its session is left within
+    10 s, and a summary is there only if it was written whole."""
+    argv = [sys.executable, "-m", "swarmbci.cli", "evaluate", *args, "--out"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **env}
+
+    def run(out, kill_after=None):
+        return run_in_own_session(argv + [str(out / "summary.json")], kill_after, cwd=cwd,
+                                  env=env, stdout=subprocess.DEVNULL)
+
+    start = time.monotonic()
+    run(cwd / "clean")
+    duration = time.monotonic() - start
+    clean = (cwd / "clean" / "summary.json").read_bytes()
+    rng = random.Random(seed)
+    for k, delay in enumerate([0.05] + [duration * rng.uniform(0.2, 0.9) for _ in range(3)]):
+        out = cwd / f"killed{k}"
+        left = run(out, kill_after=delay)
+        assert not left, f"killed after {delay:.2f} s, left {left}"
+        for p in out.iterdir() if out.exists() else ():  # a summary only if written whole
+            assert p.name == "summary.json" and p.read_bytes() == clean, (delay, p.name)
+
+
 #: ``simulate`` with a writer that waits for a file ``release`` before each CSV; a dot
 #: is appended to ``stepped`` as each behaviour starts to step.
 _STALLED_SIMULATE = (
@@ -630,52 +692,19 @@ def assert_written_as_by(out, ok, sequence, n_csvs, *flags):
         assert (out / name).read_bytes() == (ok / name).read_bytes(), name
 
 
-def run_in_own_session(argv, kill_after=None, **popen):
-    """Run ``argv`` in its own session to a zero exit; or, with ``kill_after``, SIGKILL the
-    command alone after that many seconds and return the pids of its session still running
-    10 s later. Whatever is left is killed after."""
-    proc = subprocess.Popen(argv, start_new_session=True, **popen)
-    try:
-        if kill_after is None:
-            assert proc.wait(timeout=120) == 0
-            return []
-        time.sleep(kill_after)
-        proc.kill()  # the command alone, not its session
-        proc.wait(timeout=10)
-        deadline = time.monotonic() + 10.0
-        while session_processes(proc.pid) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        return session_processes(proc.pid)
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(proc.pid, signal.SIGKILL)
-
-
-def session_processes(sid):
-    """The pids of the processes of session ``sid`` that have not exited (zombies aside)."""
-    pids = []
-    for entry in os.listdir("/proc"):
-        try:
-            stat = Path("/proc", entry, "stat").read_text() if entry.isdigit() else ""
-        except OSError:  # it exited
-            continue
-        fields = stat.rpartition(")")[2].split()  # state, ppid, pgrp, session, ...
-        if fields and int(fields[3]) == sid and fields[0] != "Z":
-            pids.append(int(entry))
-    return pids
-
-
 #: Run in a fresh interpreter: the scipy modules loaded after the given statement.
 _SCIPY_AFTER = "import sys\n{}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+#: Pins the interpreter to one CPU, so that the command reads the trial windows itself.
+_ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
 
 
 @pytest.mark.parametrize("statement", [
     "import swarmbci.cli",
     "from swarmbci.cli import main\nassert main(['simulate', '--out', 'sim', '--sequence', '4,3,2,1']) == 0",
-    "from swarmbci.cli import main\nassert main(['evaluate', 'data/subject01.nsr', '--config', "
-    "'config.json', '--out', 's.json']) == 0",
-    "from swarmbci.cli import main\nassert main(['pipeline', 'data/subject01.nsr', '--config', "
-    "'config.json', '--out', 'pipe']) == 0",
+    _ONE_CPU + "from swarmbci.cli import main\nassert main(['evaluate', 'data/subject01.nsr', "
+    "'--config', 'config.json', '--out', 's.json']) == 0",
+    _ONE_CPU + "from swarmbci.cli import main\nassert main(['pipeline', 'data/subject01.nsr', "
+    "'--config', 'config.json', '--out', 'pipe']) == 0",
 ], ids=["import-cli", "simulate", "evaluate", "pipeline"])
 def test_simulate_loads_no_scipy(tmp_path, statement, request):
     if "data/" in statement:  # synth, which filters with SciPy, runs here

@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
 import itertools
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference_chain
+from sessions import processes_left
 
 import swarmbci
 from swarmbci import evaluate
@@ -361,7 +364,7 @@ class TestEvaluateRecording:
         monkeypatch.setattr(type(rec), "window",
                             lambda self, *a: reads.append(a) or window(self, *a))
         with pytest.raises(ValueError, match="class 4 has 3 trials, fewer than k=5"):
-            evaluate_recording(rec, RunConfig(k_folds=5), SMALL_TIMING)
+            evaluate_recording(rec, RunConfig(k_folds=5), SMALL_TIMING, workers=1)  # reads here
         assert reads == []
 
     def test_workers_below_one_rejected(self):
@@ -371,12 +374,13 @@ class TestEvaluateRecording:
     def test_ctrl_c_joins_every_worker(self, monkeypatch):
         here, extract = os.getpid(), evaluate.extract_trials
 
-        def interrupted_here(*args, **kwargs):  # the forked workers read on
-            if os.getpid() == here:
-                raise KeyboardInterrupt
-            return extract(*args, **kwargs)
+        def interrupting(rec, timing, condition, margin, indices):
+            if indices[0] == 0:  # one SIGINT, while this process waits for the workers
+                time.sleep(0.2)  # a SIGINT that lands in os.fork's at-fork hooks is swallowed
+                os.kill(here, signal.SIGINT)
+            return extract(rec, timing, condition, margin, indices)
 
-        monkeypatch.setattr(evaluate, "extract_trials", interrupted_here)
+        monkeypatch.setattr(evaluate, "extract_trials", interrupting)
         with pytest.raises(KeyboardInterrupt):
             evaluate_recording(small_subject(0.9, seed=49), RunConfig(seed=1, n_pairs=2),
                                SMALL_TIMING, workers=3)
@@ -412,6 +416,42 @@ class TestEvaluateRecording:
         with pytest.raises(ValueError, match=f"^fold {named}: planted failure$"):
             evaluate_recording(rec, config, SMALL_TIMING, workers=2)
         assert multiprocessing.active_children() == []
+
+
+#: Run in a fresh interpreter in its own session: ``fork_map`` over 40 calls of 0.2 s
+#: each, by two children, each call noting its index in ``started``; the first call
+#: SIGKILLs the forking process.
+_ORPHANED_CHILDREN = textwrap.dedent("""
+    import os, signal, time
+    from swarmbci.evaluate import fork_map
+    here = os.getpid()
+
+    def slow(i):
+        fd = os.open("started", os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, b"%d\\n" % i)
+        os.close(fd)
+        if i == 0:
+            os.kill(here, signal.SIGKILL)
+        time.sleep(0.2)
+
+    fork_map(slow, 40, 2, "slow")
+""")
+
+
+def test_an_orphaned_child_takes_no_more_work(tmp_path):
+    src = str(Path(swarmbci.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", _ORPHANED_CHILDREN], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": src}, start_new_session=True)
+    try:
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        left = processes_left(proc.pid)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert not left
+    # The first call, and at most one more per child: the one it held when its parent died.
+    started = (tmp_path / "started").read_text().split()
+    assert "0" in started and len(started) <= 3, started
 
 
 #: Seeded 250 Hz subjects of 160 one-second trials: (channels, separability, seed). They
@@ -539,7 +579,8 @@ def test_folds_copy_no_part_of_the_scatter_stack():
     assert peak < scatters.nbytes
 
 
-#: Run in a fresh interpreter: the minor page faults of one ``evaluate_recording`` call.
+#: Run in a fresh interpreter: the minor page faults of one ``evaluate_recording`` call
+#: that reads every window in this process.
 _FAULT_COUNT = textwrap.dedent("""
     import resource, sys
     from swarmbci.config import RunConfig
@@ -547,7 +588,7 @@ _FAULT_COUNT = textwrap.dedent("""
     from swarmbci.recording import ParadigmTiming, open_recording
     rec = open_recording(sys.argv[1])
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    evaluate_recording(rec, RunConfig(), ParadigmTiming(0.1, 0.1, 0.1, 4.0))
+    evaluate_recording(rec, RunConfig(), ParadigmTiming(0.1, 0.1, 0.1, 4.0), workers=1)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """)
 
