@@ -90,6 +90,21 @@ def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float) -> LdaModel:
     return LdaModel(weights, bias, shrinkage)
 
 
+def _first_non_finite_row(scatters: np.ndarray) -> int | None:
+    """The first row of ``scatters`` that holds a NaN or an infinity, or None.
+
+    A column sum is finite only if each of its values is, so one pass over the stack
+    clears it; the rows are scanned only if a sum is not finite, as a column of finite
+    values may also overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        if np.all(np.isfinite(np.add.reduce(scatters, axis=0))):
+            return None
+    # Row extremes, not an (n, C(C+1)/2) mask: a NaN reaches both, an infinity one of them.
+    finite = np.isfinite(scatters.min(axis=1)) & np.isfinite(scatters.max(axis=1))
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
                 config: RunConfig, train: np.ndarray | None = None) -> DecoderModel:
     """Fit four class-vs-rest (CSP, LDA) pairs from an (n, C(C+1)/2) stack of packed scatters.
@@ -108,9 +123,8 @@ def fit_decoder(scatters: np.ndarray, labels: np.ndarray, n_samples: int,
         raise ValueError(f"train must be a boolean mask of length {n}, got {train.dtype} "
                          f"of shape {train.shape}")
     n_ch = _packed_channels(scatters)
-    # Row extremes, not an (n, C(C+1)/2) mask: a NaN reaches both, an infinity one of them.
-    if not np.all(finite := np.isfinite(scatters.min(axis=1)) & np.isfinite(scatters.max(axis=1))):
-        raise ValueError(f"scatter row {np.argmin(finite)} holds a non-finite value")
+    if (row := _first_non_finite_row(scatters)) is not None:
+        raise ValueError(f"scatter row {row} holds a non-finite value")
     rows = np.flatnonzero(train)
     traces = packed_traces(scatters, rows)
     if np.any(degenerate := traces <= 0):

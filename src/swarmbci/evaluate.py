@@ -145,14 +145,17 @@ def forked(target, count: int):
     process's ends. No other thread may run here: the children share its memory.
 
     A child ignores SIGINT and closes its copies of this process's ends; an ``EOFError``
-    or ``OSError`` in it means this process is gone. On every way out of the block,
-    ``KeyboardInterrupt`` included, this process closes its ends and joins every child.
+    or ``OSError`` in it means this process is gone. SIGINT is blocked while each child
+    starts, so a Ctrl-C during a fork is raised here once the fork is done, not dropped
+    by an at-fork hook. On every way out of the block, ``KeyboardInterrupt`` or a failed
+    fork included, this process closes its ends and joins every child it started.
     """
     context = multiprocessing.get_context("fork")
     conns, children = [], []
 
     def child(conn, parent_conns) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
         for end in parent_conns:
             end.close()
         with contextlib.suppress(EOFError, OSError):  # this process is gone
@@ -162,9 +165,14 @@ def forked(target, count: int):
         for _ in range(count):
             conn, child_conn = context.Pipe()
             conns.append(conn)
-            children.append(context.Process(target=child, args=(child_conn, tuple(conns))))
-            children[-1].start()
-            child_conn.close()
+            process = context.Process(target=child, args=(child_conn, tuple(conns)))
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                process.start()
+                children.append(process)
+            finally:
+                child_conn.close()
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # raises a Ctrl-C held back
         yield tuple(conns)
     finally:
         for conn in conns:
@@ -177,20 +185,21 @@ def fork_map(fn, n: int, workers: int, name: str) -> list:
     """``[fn(0), ..., fn(n - 1)]``, by ``min(workers, n)`` forked children (here if one);
     this process only waits. The children take the indices one at a time from a shared
     counter, whose POSIX record lock the kernel releases if its holder dies. After a
-    failure or a Ctrl-C, or once a child's parent is gone, no index is handed out; the
-    failure of the lowest index is raised, as a loop here would raise it.
+    failure no index is handed out, and a child takes none once its pipe is closed:
+    ``forked`` closes it on every way out (a Ctrl-C or a failed fork included) before it
+    joins the children, and so does this process's death. The failure of the lowest
+    index is raised, as a loop here would raise it.
     """
     count = min(workers, n)
     if count <= 1:
         return [fn(i) for i in range(n)]
-    here = os.getpid()
     next_index = np.frombuffer(mmap.mmap(-1, 8), np.int64, 1)
 
-    def take(stop: bool = False) -> int:
+    def take(stop: bool) -> int:
         """The next index, n once none is left; ``stop`` hands out no more."""
         fcntl.lockf(lock, fcntl.LOCK_EX)
         try:
-            i = n if stop or os.getppid() != here else int(next_index[0])
+            i = n if stop else int(next_index[0])
             next_index[0] = min(i + 1, n)
         finally:
             fcntl.lockf(lock, fcntl.LOCK_UN)
@@ -198,7 +207,8 @@ def fork_map(fn, n: int, workers: int, name: str) -> list:
 
     def work(conn) -> None:  # sends this child's results by index, and its failure
         results, failure = {}, None
-        while (i := take(stop=failure is not None)) < n:
+        # This process sends nothing, so the pipe is readable only once its end is closed.
+        while (i := take(stop=failure is not None or conn.poll())) < n:
             try:
                 results[i] = fn(i)
             except Exception as exc:  # raised below if no lower index failed
@@ -210,8 +220,6 @@ def fork_map(fn, n: int, workers: int, name: str) -> list:
             answers = [conn.recv() for conn in conns]
         except EOFError:  # only a child's exit closes its end
             raise RuntimeError(f"a {name} process exited before it answered") from None
-        finally:
-            take(stop=True)
     results = {i: result for done, _ in answers for i, result in done.items()}
     failures = [failure for _, failure in answers if failure is not None]
     if failures:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from swarmbci.config import POSITIVE, check_fields
-from swarmbci.dsp import design_bandpass
+from swarmbci.dsp import design_bandpass, filter_channels
 from swarmbci.recording import (
     ChannelLayout,
     EventMarker,
@@ -74,11 +74,11 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
 
     One helper thread makes every draw, in stream order: the mixing normals,
     the label shuffle and the sources, then each noise row, straight into
-    its data row. Meanwhile this thread imports SciPy, designs the source filter
-    and filters the sources with ``scipy.signal.sosfiltfilt``, then finishes each noise
-    row as soon as it is drawn: it scales the row and adds the row's mixing
-    product, one column block at a time, so only the last row's finish
-    follows the draws. The rows from ``n_channels - 3 * n_sources`` on are
+    its data row. Meanwhile this thread designs the source filter and filters
+    each source row with ``dsp.filter_channels`` through one padded buffer, then
+    finishes each noise row as soon as it is drawn: it scales the row and adds the
+    row's mixing product, one column block at a time, so only the last row's finish
+    follows the draws. The rows from ``n_channels - 4 * n_sources`` on are
     handed to the helper only once the float64 sources are freed, so the
     peak memory does not depend on which thread runs ahead. An error here
     cancels every row not yet started, and before the sources are freed no
@@ -98,8 +98,10 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
     data = np.empty((cfg.n_channels, total), dtype=np.float32)
     # In rows of ``total`` float32: while the float64 sources (2 n_sources rows) and
     # their std's temporary (as many) live, at most gate + 4 n_sources rows are held,
-    # the sequential peak of n_channels data rows plus n_sources float32 source rows.
-    gate = max(0, cfg.n_channels - 3 * cfg.n_sources)
+    # and the heap may still hold the source filter's freed scratch: its padded row,
+    # tile and block states, 6 rows, fewer than n_sources. All of it stays under the
+    # sequential peak of n_channels data rows plus n_sources float32 source rows.
+    gate = max(0, cfg.n_channels - 4 * cfg.n_sources)
 
     # The helper makes a single-threaded run's draws, in its order: one worker runs
     # the tasks as submitted. They call only Generator and NumPy functions:
@@ -117,8 +119,6 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
         drawn = pool.submit(draw_sources)
         rows = [pool.submit(draw_row, ch) for ch in range(gate)]
         try:
-            from scipy.signal import sosfiltfilt  # while the helper draws
-
             band = design_bandpass(SOURCE_BAND_HZ[0], SOURCE_BAND_HZ[1],
                                    _SOURCE_FILTER_ORDER, fs)
             g, labels, sources = drawn.result()
@@ -126,8 +126,10 @@ def generate_subject(cfg: SynthConfig, subject_id: str | None = None) -> Recordi
             # Random orthogonal mixing (orthonormal columns, signs canonicalized).
             mix, r = np.linalg.qr(g)
             mix = mix * np.sign(np.diag(r))
+            padded = np.empty(band.padded_len(total))
             for j in range(cfg.n_sources):
-                sources[j] = sosfiltfilt(band.sos, sources[j], padlen=band.pad_len)
+                sources[j] = filter_channels(band, sources[j], out=padded)
+            del padded
             # Normalize so each source has unit in-band standard deviation.
             sources /= sources.std(axis=1, keepdims=True)
 

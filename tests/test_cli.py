@@ -253,6 +253,21 @@ class TestEvaluate:
             "error: duplicate subject_id 'subject01' across input files\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_duplicate_subject_id_refused_before_any_subject_is_evaluated(
+            self, tmp_path, config_path, subject_dir, forks, monkeypatch, capsys, jobs):
+        called = tmp_path / "called"
+        monkeypatch.setattr(cli, "evaluate_recording",
+                            lambda *args, **kwargs: called.touch())  # seen from any process
+        copy = tmp_path / "copy.nsr"
+        copy.write_bytes((subject_dir / "subject01.nsr").read_bytes())
+        code = main(["evaluate", str(subject_dir / "subject01.nsr"),
+                     str(subject_dir / "subject02.nsr"), str(copy), "--config", config_path,
+                     "--out", str(tmp_path / "s.json"), "--jobs", jobs])
+        assert code == 1
+        assert "duplicate subject_id 'subject01'" in capsys.readouterr().err
+        assert forks == [] and not called.exists()
+
     @pytest.mark.parametrize("jobs, files, workers", [("8", 2, [2]), ("2", 1, [])],
                              ids=["jobs8-files2", "jobs2-files1"])
     def test_no_more_workers_than_files(self, tmp_path, config_path, subject_dir, forks,
@@ -297,7 +312,6 @@ class TestEvaluate:
 
         def interrupting(path, *args):  # one SIGINT, while the command waits for its children
             if path.endswith("subject01.nsr"):
-                time.sleep(0.2)  # a SIGINT that lands in os.fork's at-fork hooks is swallowed
                 os.kill(here, signal.SIGINT)
             return evaluate_one(path, *args)
 
@@ -700,20 +714,49 @@ _ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n
 
 @pytest.mark.parametrize("statement", [
     "import swarmbci.cli",
+    "from swarmbci.cli import main\nassert main(['synth', '--config', 'config.json', '--out', 'out']) == 0",
     "from swarmbci.cli import main\nassert main(['simulate', '--out', 'sim', '--sequence', '4,3,2,1']) == 0",
     _ONE_CPU + "from swarmbci.cli import main\nassert main(['evaluate', 'data/subject01.nsr', "
     "'--config', 'config.json', '--out', 's.json']) == 0",
     _ONE_CPU + "from swarmbci.cli import main\nassert main(['pipeline', 'data/subject01.nsr', "
     "'--config', 'config.json', '--out', 'pipe']) == 0",
-], ids=["import-cli", "simulate", "evaluate", "pipeline"])
+], ids=["import-cli", "synth", "simulate", "evaluate", "pipeline"])
 def test_simulate_loads_no_scipy(tmp_path, statement, request):
-    if "data/" in statement:  # synth, which filters with SciPy, runs here
-        request.getfixturevalue("subject_dir")
+    if "config.json" in statement:  # the config, and the subjects if read, made here
+        request.getfixturevalue("subject_dir" if "data/" in statement else "config_path")
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER.format(statement)], cwd=tmp_path,
                           capture_output=True, text=True, timeout=120, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.splitlines()[-1] == "[]"  # after the command's own output
+
+
+#: Run in a fresh interpreter in which ``import scipy`` raises: each command on the output
+#: of the one before.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from swarmbci.cli import main
+assert main(["synth", "--config", "config.json", "--out", "data", "--subjects", "2"]) == 0
+assert main(["evaluate", "data/subject01.nsr", "data/subject02.nsr", "--config", "config.json",
+             "--out", "summary.json", "--jobs", "2"]) == 0
+assert main(["pipeline", "data/subject01.nsr", "--config", "config.json", "--out", "pipe"]) == 0
+assert main(["simulate", "--predictions", "pipe/predictions_fold0.json", "--config", "config.json",
+             "--out", "sim"]) == 0
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path, config_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert sha256_of(tmp_path / "summary.json") == EVALUATE_SHA256["summary.json"]
+    for name, digest in EVALUATE_SHA256["pipeline"].items():
+        assert sha256_of(tmp_path / "pipe" / name) == digest, name
+        if name.startswith("simulation/"):  # simulate ran the pipeline's codes
+            assert sha256_of(tmp_path / "sim" / Path(name).name) == digest, name
 
 
 def test_console_main_freezes_the_heap_after_main(monkeypatch):

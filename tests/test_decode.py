@@ -349,6 +349,16 @@ class TestFitDecoder:
         with pytest.raises(ValueError, match="scatter row 7 holds a non-finite value"):
             fit_decoder(scatters, np.arange(12) % 4 + 1, 50, RunConfig(n_pairs=1), train=train)
 
+    def test_a_column_that_overflows_holds_no_non_finite_row(self):
+        # Its sum is infinite, so the rows are scanned, and none holds a non-finite value.
+        scatters = np.ones((3, 10))
+        scatters[:, 4] = np.finfo(np.float64).max
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.add.reduce(scatters, axis=0)[4])
+        assert decode._first_non_finite_row(scatters) is None
+        scatters[2, 7] = -np.inf
+        assert decode._first_non_finite_row(scatters) == 2
+
     def test_train_mask_of_the_wrong_length_names_both_lengths(self):
         scatters = np.stack([packed(np.eye(4))] * 12)
         with pytest.raises(ValueError, match=r"length 12, got bool of shape \(11,\)"):

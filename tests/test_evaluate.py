@@ -376,7 +376,6 @@ class TestEvaluateRecording:
 
         def interrupting(rec, timing, condition, margin, indices):
             if indices[0] == 0:  # one SIGINT, while this process waits for the workers
-                time.sleep(0.2)  # a SIGINT that lands in os.fork's at-fork hooks is swallowed
                 os.kill(here, signal.SIGINT)
             return extract(rec, timing, condition, margin, indices)
 
@@ -452,6 +451,51 @@ def test_an_orphaned_child_takes_no_more_work(tmp_path):
     # The first call, and at most one more per child: the one it held when its parent died.
     started = (tmp_path / "started").read_text().split()
     assert "0" in started and len(started) <= 3, started
+
+
+#: Run in a fresh interpreter in its own session: ``fork_map`` over 40 calls of 0.2 s
+#: each, by two children, each call noting its index in ``started``; a hook sends this
+#: process SIGINT just after its first fork, before the second.
+_CTRL_C_AT_THE_FIRST_FORK = textwrap.dedent("""
+    import os, signal, time
+    from swarmbci.evaluate import fork_map
+    forks = []
+
+    def interrupt():
+        forks.append(None)
+        if len(forks) == 1:
+            os.kill(os.getpid(), signal.SIGINT)
+
+    def slow(i):
+        fd = os.open("started", os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, b"%d\\n" % i)
+        os.close(fd)
+        time.sleep(0.2)
+
+    os.register_at_fork(after_in_parent=interrupt)
+    try:
+        fork_map(slow, 40, 2, "slow")
+    except KeyboardInterrupt:
+        print("interrupted after", len(forks), "fork")
+""")
+
+
+def test_a_ctrl_c_during_a_fork_stops_the_map(tmp_path):
+    src = str(Path(swarmbci.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", _CTRL_C_AT_THE_FIRST_FORK], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": src}, start_new_session=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+        left = processes_left(proc.pid)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert out == "interrupted after 1 fork\n", err
+    assert not left
+    # The child already started holds at most one call when it sees its pipe closed.
+    started = tmp_path / "started"
+    assert not started.exists() or len(started.read_text().split()) <= 1, started.read_text()
 
 
 #: Seeded 250 Hz subjects of 160 one-second trials: (channels, separability, seed). They

@@ -27,8 +27,8 @@ from swarmbci.synth import (
 )
 
 SMALL_TIMING = ParadigmTiming(0.5, 0.5, 0.5, 2.0)
-#: SciPy's own filter, which synth looks up in ``scipy.signal`` at each call.
-SOSFILTFILT = sp_signal.sosfiltfilt
+#: Synth's source filter, taken before any test patches it in synth's namespace.
+SOURCE_FILTER = synth.filter_channels
 
 
 def sequential_generate_subject(cfg, subject_id=None):
@@ -54,8 +54,10 @@ def sequential_generate_subject(cfg, subject_id=None):
 
     sources = rng.standard_normal((cfg.n_sources, total))
     band = design_bandpass(SOURCE_BAND_HZ[0], SOURCE_BAND_HZ[1], 4, fs)
+    padded = np.empty(band.padded_len(total))
     for j in range(cfg.n_sources):
-        sources[j] = SOSFILTFILT(band.sos, sources[j], padlen=band.pad_len)
+        sources[j] = SOURCE_FILTER(band, sources[j], out=padded)
+    del padded
     sources /= sources.std(axis=1, keepdims=True)
 
     pattern = pattern_matrix(cfg.n_sources)
@@ -81,10 +83,10 @@ def sequential_generate_subject(cfg, subject_id=None):
 
 
 def slowed_filter(delay_s):
-    """``sosfiltfilt`` that sleeps first, so the noise draws run ahead of the sources."""
+    """Synth's source filter, sleeping first, so the noise draws run ahead of the sources."""
     def slow(*args, **kwargs):
         time.sleep(delay_s)
-        return SOSFILTFILT(*args, **kwargs)
+        return SOURCE_FILTER(*args, **kwargs)
     return slow
 
 
@@ -252,12 +254,11 @@ class TestGenerateSubject:
 
 
 #: Run in a fresh interpreter: the rise of the peak RSS over one generator call.
-#: Both generators' modules, SciPy included, are imported before it is read. The
-#: peak is VmHWM, the new process's own: ``ru_maxrss`` keeps the forking parent's.
+#: Both generators' modules are imported before it is read. The peak is VmHWM,
+#: the new process's own: ``ru_maxrss`` keeps the forking parent's.
 _PEAK_RSS_CHILD = textwrap.dedent("""
     import re, sys
     sys.path.insert(0, sys.argv[1])
-    import scipy.signal
     import test_synth
     from swarmbci import synth
     from swarmbci.recording import ParadigmTiming
@@ -271,7 +272,7 @@ _PEAK_RSS_CHILD = textwrap.dedent("""
     if sys.argv[2] == "sequential":
         generate = test_synth.sequential_generate_subject
     else:
-        scipy.signal.sosfiltfilt = test_synth.slowed_filter(0.1)
+        synth.filter_channels = test_synth.slowed_filter(0.1)
         generate = synth.generate_subject
     before = peak_kib()
     generate(cfg)
@@ -289,10 +290,10 @@ class TestDrawThread:
         assert generate_subject(cfg) == sequential_generate_subject(cfg)
 
     def test_equals_the_sequential_generator_with_the_noise_ahead(self, monkeypatch):
-        # 64 channels: the noise draws 40 rows before it waits for the sources.
+        # 64 channels: the noise draws 32 rows before it waits for the sources.
         cfg = SynthConfig(n_channels=64, fs_hz=1000.0, trials_per_class=3,
                           timing=SMALL_TIMING, separability=0.9, seed=11)
-        monkeypatch.setattr(sp_signal, "sosfiltfilt", slowed_filter(0.05))
+        monkeypatch.setattr(synth, "filter_channels", slowed_filter(0.05))
         assert generate_subject(cfg) == sequential_generate_subject(cfg)
 
     def test_concurrent_calls_each_equal_the_sequential_generator(self):
@@ -349,8 +350,9 @@ class TestDrawThread:
     @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
     def test_peak_memory_does_not_depend_on_the_thread_timing(self):
         # With the sources slowed, noise drawn past the gate row would be held beside
-        # the float64 sources and their std temporary: 24 more rows (31 MB) here.
-        # The sequential peak is the data and the float32 sources, 72 rows.
+        # the float64 sources, their std temporary and the filter's freed scratch, which
+        # malloc keeps: 32 more rows (42 MB) here. The sequential peak is the data and the
+        # float32 sources, 72 rows.
         # tracemalloc cannot show this: it counts ``data`` whole when it is allocated.
         tests, src = str(Path(__file__).parent), str(Path(synth.__file__).resolve().parents[1])
         rise = {}
@@ -367,7 +369,7 @@ class TestDrawThread:
         def fail(*args, **kwargs):
             raise RuntimeError("filter failed")
 
-        monkeypatch.setattr(sp_signal, "sosfiltfilt", fail)
+        monkeypatch.setattr(synth, "filter_channels", fail)
         made = counting_generators(monkeypatch)
         cfg = SynthConfig(n_channels=64, fs_hz=250.0, trials_per_class=3,
                           timing=SMALL_TIMING, seed=1)
@@ -379,7 +381,7 @@ class TestDrawThread:
         assert made[0].rows < cfg.n_channels
 
     def test_draw_error_is_raised_while_the_rows_are_finished(self, monkeypatch):
-        # The helper fails two rows past the gate (40 of 64), once the sources are freed.
+        # The helper fails ten rows past the gate (32 of 64), once the sources are freed.
         made = counting_generators(monkeypatch, fail_at_row=42)
         cfg = SynthConfig(n_channels=64, fs_hz=250.0, trials_per_class=3,
                           timing=SMALL_TIMING, seed=1)
@@ -390,7 +392,7 @@ class TestDrawThread:
         assert made[0].rows == 42
 
     def test_draw_error_before_the_gate_is_raised_and_the_thread_ends(self, monkeypatch):
-        # The helper fails at row 5 of 64, before the gate row (40): raised once row 5 is reached.
+        # The helper fails at row 5 of 64, before the gate row (32): raised once row 5 is reached.
         made = counting_generators(monkeypatch, fail_at_row=5)
         cfg = SynthConfig(n_channels=64, fs_hz=250.0, trials_per_class=3,
                           timing=SMALL_TIMING, seed=1)
