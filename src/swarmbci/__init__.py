@@ -16,7 +16,6 @@ from swarmbci.recording import (
     Trial,
     TrialSet,
     extract_trials,
-    load_recording,
     open_recording,
     save_recording,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Trial",
     "TrialSet",
     "extract_trials",
-    "load_recording",
     "open_recording",
     "save_recording",
 ]

@@ -16,7 +16,7 @@ import swarmbci
 from swarmbci.config import RunConfig, dataclass_from_dict, json_type_matches
 from swarmbci.evaluate import (CvResult, evaluate_recording, fork_map, forked, summarize_group,
                                usable_cpus)
-from swarmbci.recording import ParadigmTiming, open_recording, save_recording
+from swarmbci.recording import ParadigmTiming, RecordingFile, open_recording, save_recording
 from swarmbci.swarm import (
     SwarmConfig,
     behavior_name,
@@ -121,32 +121,34 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _evaluate_one(path: str, config: RunConfig, timing: ParadigmTiming,
+def _evaluate_one(rec: RecordingFile, config: RunConfig, timing: ParadigmTiming,
                   workers: int) -> CvResult:
-    return evaluate_recording(open_recording(path), config, timing, workers=workers)
+    return evaluate_recording(rec, config, timing, workers=workers)
 
 
 def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
                     jobs: int) -> dict[str, CvResult]:
-    """Each file's result by its subject_id. Every header is read, and a duplicate id
-    refused, before any subject is evaluated; a failure names the first failing file."""
+    """Each file's result by its subject_id. Every file is opened here, once, and a
+    duplicate id refused, before any subject is evaluated; the subject processes read
+    through the descriptors they inherit. A failure names the first failing file."""
     per_subject = max(1, usable_cpus() // min(jobs, len(paths)))  # the subjects split the CPUs
 
-    def on_file(i: int, call, *args):  # call(path i, *args); its failure names the file
+    def on_file(i: int, call, *args):  # call(*args) for file i; its failure names the file
         try:
-            return call(str(paths[i]), *args)
+            return call(*args)
         except Exception as exc:
             raise RuntimeError(f"evaluation of {paths[i]} failed: {exc}") from exc
 
-    subject_ids: list[str] = []
-    for i in range(len(paths)):
-        subject_id = on_file(i, open_recording).subject_id
-        if subject_id in subject_ids:
-            raise ValueError(f"duplicate subject_id {subject_id!r} across input files")
-        subject_ids.append(subject_id)
-    results = fork_map(lambda i: on_file(i, _evaluate_one, config, timing, per_subject),
+    recs: dict[str, RecordingFile] = {}
+    for i, path in enumerate(paths):
+        rec = on_file(i, open_recording, str(path))
+        if rec.subject_id in recs:
+            raise ValueError(f"duplicate subject_id {rec.subject_id!r} across input files")
+        recs[rec.subject_id] = rec
+    opened = list(recs.values())
+    results = fork_map(lambda i: on_file(i, _evaluate_one, opened[i], config, timing, per_subject),
                        len(paths), jobs, "subject")
-    return dict(zip(subject_ids, results))
+    return dict(zip(recs, results))
 
 
 def cmd_evaluate(args) -> int:

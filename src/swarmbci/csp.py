@@ -98,16 +98,16 @@ def fit_csp_matrices(c_pos: np.ndarray, c_neg: np.ndarray,
     lam, v = np.linalg.eigh(s_pos)
     order = np.argsort(lam)[::-1]
     lam = np.clip(lam[order], 0.0, 1.0)
-    w = whitener @ v[:, order]
-
-    # Canonicalize signs: largest-magnitude component of each filter positive.
-    for j in range(n_ch):
-        k = int(np.argmax(np.abs(w[:, j])))
-        if w[k, j] < 0:
-            w[:, j] = -w[:, j]
-
+    w = _canonical_signs(whitener @ v[:, order])
     selected = tuple(range(n_pairs)) + tuple(range(n_ch - n_pairs, n_ch))
     return CspModel(w, lam, selected)
+
+
+def _canonical_signs(w: np.ndarray) -> np.ndarray:
+    """``w`` with every column negated, in place, whose largest-magnitude entry (the first
+    of equal ones) is negative."""
+    k = np.argmax(np.abs(w), axis=0)
+    return np.negative(w, out=w, where=w[k, np.arange(w.shape[1])] < 0)
 
 
 def feature_projector(models: Sequence[CspModel]) -> np.ndarray:

@@ -6,9 +6,7 @@ edges, nearest pole-zero pairing) and equals it bit for bit. :func:`filter_chann
 runs each pass of the forward-backward filter as a block filter (Burrus 1972, "Block
 realization of digital filters"): blocks of ``_BLOCK`` samples are matrix products,
 and a prefix scan (Blelloch 1990) carries the state from block to block. Its result
-differs from ``scipy.signal.sosfiltfilt`` by rounding only. The frequency response
-evaluator below is an independent direct evaluation of H(e^{jw}) used to verify the
-designs. Nothing here imports SciPy.
+differs from ``scipy.signal.sosfiltfilt`` by rounding only. Nothing here imports SciPy.
 """
 
 from __future__ import annotations
@@ -149,15 +147,6 @@ def design_bandpass(low_hz: float, high_hz: float, order: int, fs: float) -> Fil
         sos[s], z = np.concatenate((np.poly(z[i]), np.poly([p1, p2]))), np.delete(z, i)
     sos[0, :3] *= gain
     return FilterSpec(sos, f"butter{order}-bandpass-{low_hz:g}-{high_hz:g}@{fs:g}")
-
-
-def frequency_response(spec: FilterSpec, freq_hz: float, fs: float) -> tuple[float, float]:
-    """Evaluate H(e^{j 2 pi f / fs}) directly; returns (magnitude, phase)."""
-    if not (0 <= freq_hz <= fs / 2):
-        raise ValueError(f"frequency must be in [0, fs/2], got {freq_hz}")
-    z_inv = np.exp(-1j * 2.0 * np.pi * freq_hz / fs) ** np.arange(3)
-    h = np.prod((spec.sos[:, :3] @ z_inv) / (spec.sos[:, 3:] @ z_inv))
-    return float(np.abs(h)), float(np.angle(h))
 
 
 def filter_channels(spec: FilterSpec, data: np.ndarray,

@@ -3,7 +3,9 @@
 The NSR format is deliberately minimal so recordings round-trip
 bit-exactly: an ASCII magic line, a one-line JSON header, then the raw
 sample-major float32 payload (frame 0 all channels, frame 1 all
-channels, ...). Amplitudes are in microvolts.
+channels, ...). Amplitudes are in microvolts. A file opened with
+:func:`open_recording` stays open while its :class:`RecordingFile` lives, so
+every window is read from the file whose header was checked.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -137,12 +140,12 @@ class ParadigmTiming:
         return n
 
 
-@dataclass
+@dataclass(eq=False)
 class Recording:
     """Continuous multichannel recording with event markers.
 
     ``data`` is channels x samples, stored float32 so NSR round trips
-    are bit-exact.
+    are bit-exact. ``==`` is identity: a field-wise ``==`` would compare the arrays.
     """
 
     subject_id: str
@@ -179,25 +182,11 @@ class Recording:
         _check_window(start, stop, self.n_samples)
         return self.data[:, start:stop]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Recording):
-            return NotImplemented
-        return (
-            self.subject_id == other.subject_id
-            and self.sampling_rate_hz == other.sampling_rate_hz
-            and self.layout == other.layout
-            and self.markers == other.markers
-            and self.notch_applied_hz == other.notch_applied_hz
-            and self.data.shape == other.data.shape
-            and np.array_equal(
-                self.data.view(np.uint32), other.data.view(np.uint32)
-            )  # bit-exact, NaN-safe
-        )
-
 
 @dataclass(frozen=True)
 class RecordingFile:
-    """An NSR file's checked header (see :func:`open_recording`); samples stay on disk."""
+    """An NSR file's checked header and its read-only descriptor (see :func:`open_recording`);
+    samples stay on disk."""
 
     path: str
     subject_id: str
@@ -207,19 +196,24 @@ class RecordingFile:
     notch_applied_hz: float | None
     n_samples: int
     offset: int  # byte offset of frame 0
+    fd: int = field(repr=False, compare=False)  # closed when this object is collected
 
     def window(self, start: int, stop: int) -> np.ndarray:
-        """Channels x (stop - start) view of samples [start, stop), in one positioned read.
+        """Channels x (stop - start) view of samples [start, stop), read at their offset.
 
-        The view is of a new array of the frames as on disk (sample-major). A window
-        outside ``[0, n_samples)`` raises ``ValueError``; a file that ends before
-        ``stop`` (it shrank after it was opened) raises :class:`NsrFormatError`.
+        The view is of a new array of the frames as on disk (sample-major), read from
+        the file that was checked, even if another has since been moved onto ``path``.
+        ``os.preadv`` leaves the descriptor's shared offset alone, so forked processes
+        read through it at once. A window outside ``[0, n_samples)`` raises
+        ``ValueError``; a file that ends before ``stop`` (it shrank after it was
+        opened) raises :class:`NsrFormatError`.
         """
         _check_window(start, stop, self.n_samples)
         frames = np.empty((stop - start, self.layout.count), "<f4")
-        with open(self.path, "rb") as fh:
-            fh.seek(self.offset + 4 * start * self.layout.count)
-            got = fh.readinto(frames)
+        buf, got = frames.reshape(-1).view(np.uint8), 0
+        at = self.offset + 4 * start * self.layout.count
+        while got < len(buf) and (n := os.preadv(self.fd, [buf[got:]], at + got)):
+            got += n  # a read may return less than asked
         if got != frames.nbytes:
             raise NsrFormatError(f"{self.path}: samples [{start}, {stop}) cut short: "
                                  f"read {got} of {frames.nbytes} bytes")
@@ -315,8 +309,23 @@ def save_recording(rec: Recording, path) -> str:
 
 
 def open_recording(path) -> RecordingFile:
-    """Check an NSR file's magic, header and payload size; no sample is read."""
-    with open(path, "rb") as fh:
+    """Check an NSR file's magic, header and payload size; no sample is read.
+
+    The file stays open, read-only, until the returned object is collected.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        src = _read_header(path, fd)
+    except BaseException:
+        os.close(fd)
+        raise
+    weakref.finalize(src, os.close, fd)
+    return src
+
+
+def _read_header(path, fd: int) -> RecordingFile:
+    """The :class:`RecordingFile` of the NSR file open as ``fd``, after every check."""
+    with open(fd, "rb", closefd=False) as fh:
         magic = fh.readline(len(MAGIC) + 1)
         if magic != MAGIC + b"\n":
             magic = magic.rstrip(b"\n")
@@ -365,16 +374,9 @@ def open_recording(path) -> RecordingFile:
         _check_notch(notch)
         _check_markers(markers, n_samples)
         return RecordingFile(str(path), subject_id, fs, ChannelLayout(tuple(channels)),
-                             tuple(markers), notch, n_samples, offset)
+                             tuple(markers), notch, n_samples, offset, fd)
     except ValueError as exc:
         raise NsrFormatError(f"{path}: {exc}") from exc
-
-
-def load_recording(path) -> Recording:
-    """Read an NSR file, with the checks of :func:`open_recording`, into a :class:`Recording`."""
-    src = open_recording(path)
-    return Recording(src.subject_id, src.sampling_rate_hz, src.layout,
-                     src.window(0, src.n_samples), list(src.markers), src.notch_applied_hz)
 
 
 def extract_trials(rec: Recording | RecordingFile, timing: ParadigmTiming = ParadigmTiming(),

@@ -247,9 +247,15 @@ def _offsets(positions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np
 
 def _advance(positions: np.ndarray, delta: np.ndarray, dist: np.ndarray,
              cfg: SwarmConfig) -> np.ndarray:
-    """The positions one step after ``positions``, given ``_offsets`` of them; see :func:`step`.
+    """The positions one synchronous kinematic step after ``positions``, given ``_offsets``
+    of them.
 
-    Returns a new array: ``positions`` is not written to.
+    Each drone moves toward its target by min(max_speed, distance), then
+    any pair closer than min_separation is pushed apart symmetrically by
+    half the overlap (coincident pairs separate along +x, lower index
+    moving -x). All corrections are computed from the same post-move
+    snapshot, so drone update order is irrelevant. Positions clamp to
+    the arena. Returns a new array: ``positions`` is not written to.
     """
     scale = np.where(dist > 0, np.minimum(cfg.max_speed, dist) / np.maximum(dist, 1e-300), 0.0)
     moved = positions + delta * scale[:, None]
@@ -284,20 +290,6 @@ def _advance(positions: np.ndarray, delta: np.ndarray, dist: np.ndarray,
     return moved
 
 
-def step(state: SwarmState, cfg: SwarmConfig) -> SwarmState:
-    """One synchronous kinematic step.
-
-    Each drone moves toward its target by min(max_speed, distance), then
-    any pair closer than min_separation is pushed apart symmetrically by
-    half the overlap (coincident pairs separate along +x, lower index
-    moving -x). All corrections are computed from the same post-move
-    snapshot, so drone update order is irrelevant. Positions clamp to
-    the arena.
-    """
-    moved = _advance(state.positions, *_offsets(state.positions, state.targets), cfg)
-    return replace(state, positions=moved, step_count=state.step_count + 1)
-
-
 def converged(state: SwarmState) -> bool:
     return bool(np.max(_offsets(state.positions, state.targets)[1]) <= CONVERGENCE_TOL_M)
 
@@ -310,7 +302,7 @@ def run_until_converged(state: SwarmState, cfg: SwarmConfig
     resets ``step_count`` to 0). Returns (final state, an (S, n, 2) array of the
     positions from the start to the end, the final ``step_count``). Non-convergence
     is reported by ``step_count == max_steps``, not raised. Each step is
-    :func:`step`'s, on the positions alone: the distances to the targets that
+    :func:`_advance`, on the positions alone: the distances to the targets that
     decide convergence are those the step moves by.
     """
     positions, steps = state.positions, state.step_count

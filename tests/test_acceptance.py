@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from references import frequency_response, same_recording
 
 from swarmbci.cli import main as cli_main
 from swarmbci.config import RunConfig
 from swarmbci.csp import fit_csp_matrices, trial_scatter
 from swarmbci.decode import fit_decoder, fit_lda, predict
-from swarmbci.dsp import design_bandpass, filter_channels, frequency_response
+from swarmbci.dsp import design_bandpass, filter_channels
 from swarmbci.evaluate import cross_validate, evaluate_recording
 from swarmbci.recording import (
     ChannelLayout,
@@ -26,7 +27,7 @@ from swarmbci.recording import (
     Recording,
     Trial,
     extract_trials,
-    load_recording,
+    open_recording,
     save_recording,
 )
 from swarmbci.swarm import (
@@ -367,7 +368,7 @@ def test_format_round_trip(tmp_path):
                         notch_applied_hz=60.0 if i % 2 else None)
         path = tmp_path / "rt.nsr"
         save_recording(rec, path)
-        if load_recording(path) != rec:
+        if not same_recording(open_recording(path), rec):
             failures += 1
     _report(
         "format round-trip: 1000 randomized recordings save/load bit-exactly",

@@ -19,7 +19,7 @@ from sessions import run_in_own_session
 from swarmbci import cli, evaluate
 from swarmbci.cli import _write_text_atomic, main
 from swarmbci.config import RunConfig
-from swarmbci.recording import ParadigmTiming, load_recording, save_recording
+from swarmbci.recording import ParadigmTiming, open_recording, save_recording
 from swarmbci.synth import SynthConfig, generate_subject
 
 SMALL_CONFIG = {
@@ -163,8 +163,7 @@ class TestSynth:
         assert manifest["subjects"][0]["seed"] == 7
 
     def test_subject_ids_embedded(self, subject_dir):
-        rec = load_recording(subject_dir / "subject02.nsr")
-        assert rec.subject_id == "subject02"
+        assert open_recording(subject_dir / "subject02.nsr").subject_id == "subject02"
 
     def test_zero_subjects_fails(self, tmp_path, config_path, capsys):
         code = main(["synth", "--config", config_path,
@@ -268,6 +267,23 @@ class TestEvaluate:
         assert "duplicate subject_id 'subject01'" in capsys.readouterr().err
         assert forks == [] and not called.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_each_file_opened_once_in_the_command_process(self, tmp_path, config_path,
+                                                          subject_dir, monkeypatch, jobs):
+        opened, open_recording = tmp_path / "opened", cli.open_recording
+
+        def noted_open_recording(path):  # one line a call, from any process
+            with open(opened, "a") as fh:
+                fh.write(f"{os.getpid()} {Path(path).name}\n")
+            return open_recording(path)
+
+        monkeypatch.setattr(cli, "open_recording", noted_open_recording)
+        names = ["subject01.nsr", "subject02.nsr"]
+        assert main(["evaluate", *(str(subject_dir / name) for name in names),
+                     "--config", config_path, "--out", str(tmp_path / "s.json"),
+                     "--jobs", jobs]) == 0
+        assert opened.read_text().splitlines() == [f"{os.getpid()} {name}" for name in names]
+
     @pytest.mark.parametrize("jobs, files, workers", [("8", 2, [2]), ("2", 1, [])],
                              ids=["jobs8-files2", "jobs2-files1"])
     def test_no_more_workers_than_files(self, tmp_path, config_path, subject_dir, forks,
@@ -310,10 +326,10 @@ class TestEvaluate:
                                                  monkeypatch):
         here, evaluate_one = os.getpid(), cli._evaluate_one
 
-        def interrupting(path, *args):  # one SIGINT, while the command waits for its children
-            if path.endswith("subject01.nsr"):
+        def interrupting(rec, *args):  # one SIGINT, while the command waits for its children
+            if rec.path.endswith("subject01.nsr"):
                 os.kill(here, signal.SIGINT)
-            return evaluate_one(path, *args)
+            return evaluate_one(rec, *args)
 
         monkeypatch.setattr(cli, "_evaluate_one", interrupting)
         out = tmp_path / "s.json"
@@ -326,10 +342,11 @@ class TestEvaluate:
 
     def test_non_finite_sample_named(self, tmp_path, config_path, subject_dir, capsys):
         path = subject_dir / "subject01.nsr"
-        rec = load_recording(path)
+        rec = open_recording(path)
         onset = rec.markers[3].sample_index
-        rec.data[5, onset + 10] = np.nan
-        save_recording(rec, path)
+        with open(path, "r+b") as fh:  # the payload is sample-major float32
+            fh.seek(rec.offset + 4 * ((onset + 10) * rec.layout.count + 5))
+            fh.write(np.float32(np.nan).tobytes())
         code = main(["evaluate", str(path), "--config", config_path,
                      "--out", str(tmp_path / "s.json")])
         assert code == 1

@@ -5,6 +5,7 @@ import pytest
 
 from swarmbci.csp import (
     CspModel,
+    _canonical_signs,
     feature_projector,
     features_from_scatter,
     fit_csp_matrices,
@@ -224,6 +225,31 @@ class TestFitCsp:
         a = fit_csp_matrices(c_pos, c_neg, n_pairs=3)
         b = fit_csp_matrices(c_pos.copy(), c_neg.copy(), n_pairs=3)
         np.testing.assert_array_equal(a.w, b.w)
+
+    def test_sign_rule_equals_the_column_loop(self):
+        def loop(w):  # the rule as a loop over the filters
+            for j in range(w.shape[1]):
+                k = int(np.argmax(np.abs(w[:, j])))
+                if w[k, j] < 0:
+                    w[:, j] = -w[:, j]
+            return w
+
+        rng, cols, ties = np.random.default_rng(12), np.arange(16), 0
+        for _ in range(2000):
+            w = rng.standard_normal((16, 16))
+            # Columns whose largest magnitude is held by two entries of either sign, and
+            # a column of zeros, of -0.0 or of a mix of both.
+            for j in rng.choice(16, size=6, replace=False):
+                a, b = rng.choice(16, size=2, replace=False)
+                w[[a, b], j] = rng.choice([-1.0, 1.0], size=2) * (np.abs(w[:, j]).max() + 1.0)
+            w[:, rng.integers(16)] = rng.choice([0.0, -0.0], size=16)
+            first, last = np.argmax(np.abs(w), axis=0), 15 - np.argmax(np.abs(w[::-1]), axis=0)
+            ties += int(np.sum(np.sign(w[first, cols]) != np.sign(w[last, cols])))
+            expected = loop(w.copy())
+            got = _canonical_signs(w)
+            assert got is w
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert ties > 1000  # columns where the first of the tied entries decides
 
 
 class TestCspFeatures:

@@ -3,6 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from references import frequency_response
 from scipy import signal
 
 from swarmbci import dsp
@@ -10,7 +11,6 @@ from swarmbci.dsp import (
     FilterSpec,
     design_bandpass,
     filter_channels,
-    frequency_response,
 )
 from swarmbci.recording import (
     ChannelLayout,

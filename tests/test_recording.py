@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from references import load_recording, same_recording
 
 from swarmbci import recording
 from swarmbci.recording import (
@@ -21,12 +22,11 @@ from swarmbci.recording import (
     Trial,
     TrialSet,
     extract_trials,
-    load_recording,
     open_recording,
     save_recording,
 )
 
-#: Both NSR readers make the same checks.
+#: The NSR reader, and the whole-file read through it: both refuse every bad file.
 READERS = (load_recording, open_recording)
 
 
@@ -43,9 +43,9 @@ class TestNsrFormat:
         rec = make_recording(n_channels=2, n_samples=10)
         path = tmp_path / "min.nsr"
         save_recording(rec, path)
-        loaded = load_recording(path)
-        assert loaded.data.shape == (2, 10)
-        assert loaded.markers == []
+        loaded = open_recording(path)
+        assert loaded.window(0, loaded.n_samples).shape == (2, 10)
+        assert loaded.markers == ()
 
     def test_marker_out_of_range_on_load(self, tmp_path):
         rec = make_recording(n_channels=2, n_samples=10)
@@ -65,7 +65,7 @@ class TestNsrFormat:
         rec = make_recording(n_channels=64, n_samples=2000, markers=markers, seed=3)
         path = tmp_path / "r.nsr"
         save_recording(rec, path)
-        assert load_recording(path) == rec
+        assert same_recording(open_recording(path), rec)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.nsr"
@@ -112,7 +112,7 @@ class TestNsrFormat:
                             60.0 if i % 2 else None)
             path = tmp_path / f"{i}.nsr"
             save_recording(rec, path)
-            assert load_recording(path) == rec
+            assert same_recording(open_recording(path), rec)
 
 
 BLOCK = recording._WRITE_BLOCK_FRAMES
@@ -386,6 +386,19 @@ class TestRecordingFile:
         with pytest.raises(NsrFormatError, match=rf"^{re.escape(str(path))}: samples "
                                                  r"\[750, 1000\) cut short"):
             src.window(750, 1000)
+
+    def test_file_replaced_after_opening_still_read(self, tmp_path):
+        # synth writes through os.replace: a file moved onto the path after the open,
+        # of the same size, must not lend its samples to the header checked at the open.
+        rec = make_recording(n_channels=8, n_samples=5000, markers=[(64, 1)], seed=12)
+        path = tmp_path / "r.nsr"
+        save_recording(rec, path)
+        src, size = open_recording(path), os.path.getsize(path)
+        other = make_recording(n_channels=8, n_samples=5000, markers=[(64, 2)], seed=13)
+        save_recording(other, tmp_path / "other.nsr")
+        os.replace(tmp_path / "other.nsr", path)
+        assert os.path.getsize(path) == size
+        assert same_recording(src, rec)
 
     @pytest.mark.parametrize("start, stop", [(-3, 2), (8, 12), (10, 11), (-1, 0), (6, 5)])
     def test_window_outside_the_recording_refused_by_both_readers(self, tmp_path, start, stop):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from references import step
 
 from swarmbci.swarm import (
     SwarmConfig,
@@ -17,7 +18,6 @@ from swarmbci.swarm import (
     run_until_converged,
     save_trajectory_csv,
     set_behavior,
-    step,
 )
 
 

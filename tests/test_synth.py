@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from references import same_recording
 from scipy import signal as sp_signal
 
 from swarmbci import synth
@@ -178,14 +179,14 @@ class TestGenerateSubject:
         cfg = SynthConfig(n_channels=8, fs_hz=250, trials_per_class=3,
                           timing=SMALL_TIMING, separability=0.7, seed=5)
         a, b = generate_subject(cfg), generate_subject(cfg)
-        assert a == b
+        assert same_recording(a, b)
 
     def test_different_seeds_differ(self):
         base = dict(n_channels=8, fs_hz=250, trials_per_class=3,
                     timing=SMALL_TIMING, separability=0.7)
         a = generate_subject(SynthConfig(seed=1, **base))
         b = generate_subject(SynthConfig(seed=2, **base))
-        assert a != b
+        assert not same_recording(a, b)
 
     def test_zero_separability_leaves_sources_unscaled(self, monkeypatch):
         # The reference scales no trial: separability 0.9 with an all-zero pattern.
@@ -287,14 +288,14 @@ class TestDrawThread:
     def test_equals_the_sequential_generator(self, n_channels, fs, separability):
         cfg = SynthConfig(n_channels=n_channels, fs_hz=fs, trials_per_class=3,
                           timing=SMALL_TIMING, separability=separability, seed=n_channels)
-        assert generate_subject(cfg) == sequential_generate_subject(cfg)
+        assert same_recording(generate_subject(cfg), sequential_generate_subject(cfg))
 
     def test_equals_the_sequential_generator_with_the_noise_ahead(self, monkeypatch):
         # 64 channels: the noise draws 32 rows before it waits for the sources.
         cfg = SynthConfig(n_channels=64, fs_hz=1000.0, trials_per_class=3,
                           timing=SMALL_TIMING, separability=0.9, seed=11)
         monkeypatch.setattr(synth, "filter_channels", slowed_filter(0.05))
-        assert generate_subject(cfg) == sequential_generate_subject(cfg)
+        assert same_recording(generate_subject(cfg), sequential_generate_subject(cfg))
 
     def test_concurrent_calls_each_equal_the_sequential_generator(self):
         # More callers than cores, switching threads often: no call may take
@@ -318,7 +319,7 @@ class TestDrawThread:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         for c in cfgs:
-            assert results[c.seed] == sequential_generate_subject(c)
+            assert same_recording(results[c.seed], sequential_generate_subject(c))
 
     @pytest.mark.parametrize("extra", [4, 8, 100, synth._MIX_BLOCK - 4])
     def test_mixing_in_column_blocks_equals_the_full_product(self, extra):
