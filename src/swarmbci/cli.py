@@ -8,6 +8,7 @@ import dataclasses
 import gc
 import json
 import os
+import resource
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,6 +29,9 @@ from swarmbci.swarm import (
     set_behavior,
 )
 from swarmbci.synth import SynthConfig, generate_subject
+
+#: Descriptors ``evaluate`` keeps free beside its open inputs: std streams, pipes, outputs.
+_SPARE_FDS = 16
 
 
 @contextlib.contextmanager
@@ -130,7 +134,15 @@ def _run_evaluation(paths, config: RunConfig, timing: ParadigmTiming,
                     jobs: int) -> dict[str, CvResult]:
     """Each file's result by its subject_id. Every file is opened here, once, and a
     duplicate id refused, before any subject is evaluated; the subject processes read
-    through the descriptors they inherit. A failure names the first failing file."""
+    through the descriptors they inherit. A failure names the first failing file. A soft
+    open-file limit too low for the inputs is raised to the hard one, or the run refused."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    need, unlimited = len(paths) + _SPARE_FDS, resource.RLIM_INFINITY
+    if soft != unlimited and soft < need:
+        if hard != unlimited and hard < need:
+            raise ValueError(f"evaluate holds its {len(paths)} input files open at once, but "
+                             f"the open-file limit is {hard}, below the {need} this needs")
+        resource.setrlimit(resource.RLIMIT_NOFILE, (need if hard == unlimited else hard, hard))
     per_subject = max(1, usable_cpus() // min(jobs, len(paths)))  # the subjects split the CPUs
 
     def on_file(i: int, call, *args):  # call(*args) for file i; its failure names the file

@@ -30,7 +30,6 @@ class LdaModel:
 
     weights: np.ndarray
     bias: float
-    shrinkage: float
 
     def score(self, features: np.ndarray) -> float:
         return float(np.dot(self.weights, features) + self.bias)
@@ -87,7 +86,7 @@ def fit_lda(pos: np.ndarray, neg: np.ndarray, shrinkage: float) -> LdaModel:
         raise ValueError("singular pooled covariance; increase shrinkage above 0")
 
     bias = float(-weights @ (mu_pos + mu_neg) / 2.0 + np.log(n_pos / n_neg))
-    return LdaModel(weights, bias, shrinkage)
+    return LdaModel(weights, bias)
 
 
 def _first_non_finite_row(scatters: np.ndarray) -> int | None:

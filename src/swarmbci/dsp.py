@@ -36,7 +36,6 @@ class FilterSpec:
     """
 
     sos: np.ndarray
-    description: str = ""
     #: Steady-state initial conditions of each section for a unit step (Gustafsson 1996).
     zi: np.ndarray = field(init=False, repr=False)
     _to_output: np.ndarray = field(init=False, repr=False)  # (L + 2S, L): Toeplitz, then state
@@ -146,7 +145,7 @@ def design_bandpass(low_hz: float, high_hz: float, order: int, fs: float) -> Fil
         i = np.argsort(np.abs(z - p1), kind="stable")[:2]  # the two zeros nearest p1
         sos[s], z = np.concatenate((np.poly(z[i]), np.poly([p1, p2]))), np.delete(z, i)
     sos[0, :3] *= gain
-    return FilterSpec(sos, f"butter{order}-bandpass-{low_hz:g}-{high_hz:g}@{fs:g}")
+    return FilterSpec(sos)
 
 
 def filter_channels(spec: FilterSpec, data: np.ndarray,

@@ -49,18 +49,14 @@ class NsrFormatError(ValueError):
     """Raised when a file does not conform to the NSR format."""
 
 
-def _check_sampling_rate(fs: float) -> None:
+def _check_header(rec) -> None:
+    """Refuse the rate, notch or markers of a :class:`Recording` or :class:`RecordingFile`."""
+    fs, notch, n_samples = rec.sampling_rate_hz, rec.notch_applied_hz, rec.n_samples
     if not (math.isfinite(fs) and fs > 0):
         raise ValueError(f"sampling_rate_hz must be positive and finite, got {fs}")
-
-
-def _check_notch(notch: float | None) -> None:
     if not (notch is None or math.isfinite(notch)):
         raise ValueError(f"notch_hz must be finite, got {notch}")
-
-
-def _check_markers(markers, n_samples: int) -> None:
-    idx = [m.sample_index for m in markers]
+    idx = [m.sample_index for m in rec.markers]
     for i, s in enumerate(idx):
         if s >= n_samples:
             raise ValueError(f"marker {i} out of range: sample_index {s} >= n_samples {n_samples}")
@@ -140,7 +136,7 @@ class ParadigmTiming:
         return n
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Recording:
     """Continuous multichannel recording with event markers.
 
@@ -152,22 +148,21 @@ class Recording:
     sampling_rate_hz: float
     layout: ChannelLayout
     data: np.ndarray
-    markers: list[EventMarker] = field(default_factory=list)
+    markers: tuple[EventMarker, ...] = ()
     notch_applied_hz: float | None = None
 
     def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        _check_sampling_rate(self.sampling_rate_hz)
-        _check_notch(self.notch_applied_hz)
-        if self.data.ndim != 2:
-            raise ValueError(f"data must be 2-D (channels x samples), got ndim={self.data.ndim}")
-        if self.data.shape[0] != self.layout.count:
+        data = np.ascontiguousarray(self.data, dtype=np.float32)
+        if data.ndim != 2:
+            raise ValueError(f"data must be 2-D (channels x samples), got ndim={data.ndim}")
+        if data.shape[0] != self.layout.count:
             raise ValueError(
-                f"data has {self.data.shape[0]} rows but layout declares "
+                f"data has {data.shape[0]} rows but layout declares "
                 f"{self.layout.count} channels"
             )
-        self.markers = list(self.markers)
-        _check_markers(self.markers, self.n_samples)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "markers", tuple(self.markers))
+        _check_header(self)
 
     @property
     def n_channels(self) -> int:
@@ -197,6 +192,9 @@ class RecordingFile:
     n_samples: int
     offset: int  # byte offset of frame 0
     fd: int = field(repr=False, compare=False)  # closed when this object is collected
+
+    def __post_init__(self):
+        _check_header(self)
 
     def window(self, start: int, stop: int) -> np.ndarray:
         """Channels x (stop - start) view of samples [start, stop), read at their offset.
@@ -244,16 +242,16 @@ class Trial:
         return self.samples.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialSet:
     """Homogeneous collection of labeled trials."""
 
-    trials: list[Trial]
+    trials: tuple[Trial, ...]
     layout: ChannelLayout
     sampling_rate_hz: float
 
     def __post_init__(self):
-        self.trials = list(self.trials)
+        object.__setattr__(self, "trials", tuple(self.trials))
         for t in self.trials:
             if t.n_channels != self.layout.count:
                 raise ValueError("trial channel count does not match layout")
@@ -267,20 +265,14 @@ class TrialSet:
 def save_recording(rec: Recording, path) -> str:
     """Write ``rec`` to ``path`` in NSR format; return the file's sha256 hex digest.
 
-    Invariants are re-validated before any byte is written. The sample-major
-    payload is transposed and written one block of frames at a time, in two
-    blocks that alternate: while this thread transposes and writes one block,
-    one helper thread hashes the block before it (``hashlib`` releases the GIL).
-    The hash sees the file's bytes in order, and the memory used beyond
+    The sample-major payload is transposed and written one block of frames at a
+    time, in two blocks that alternate: while this thread transposes and writes one
+    block, one helper thread hashes the block before it (``hashlib`` releases the
+    GIL). The hash sees the file's bytes in order, and the memory used beyond
     ``rec.data`` does not grow with the recording.
     """
     if not isinstance(rec, Recording):
         raise TypeError("save_recording expects a Recording")
-    # Re-run invariant checks in case fields were mutated after construction.
-    rec = Recording(
-        rec.subject_id, rec.sampling_rate_hz, rec.layout, rec.data,
-        rec.markers, rec.notch_applied_hz,
-    )
     header = {
         "subject_id": rec.subject_id,
         "sampling_rate_hz": rec.sampling_rate_hz,
@@ -368,13 +360,10 @@ def _read_header(path, fd: int) -> RecordingFile:
         except (TypeError, ValueError) as exc:
             raise NsrFormatError(f"{path}: malformed marker {i}: {exc}") from exc
 
-    try:
-        fs, notch = float(fs), None if notch is None else float(notch)
-        _check_sampling_rate(fs)
-        _check_notch(notch)
-        _check_markers(markers, n_samples)
-        return RecordingFile(str(path), subject_id, fs, ChannelLayout(tuple(channels)),
-                             tuple(markers), notch, n_samples, offset, fd)
+    try:  # the constructor checks the rate, the notch and the markers
+        return RecordingFile(str(path), subject_id, float(fs), ChannelLayout(tuple(channels)),
+                             tuple(markers), None if notch is None else float(notch), n_samples,
+                             offset, fd)
     except ValueError as exc:
         raise NsrFormatError(f"{path}: {exc}") from exc
 

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import random
+import resource
 import signal
 import stat
 import subprocess
@@ -388,6 +389,38 @@ class TestEvaluate:
                      "--config", config_path, "--out", str(tmp_path / "s.json")])
         assert code == 1
         assert "nope.nsr" in capsys.readouterr().err
+
+    def test_more_inputs_than_the_soft_open_file_limit(self, tmp_path):
+        # Every input stays open while evaluate runs: 40 of them pass a soft limit of 32.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "synth": {"n_channels": 8, "fs_hz": 100.0, "trials_per_class": 5, "seed": 7},
+            "timing": SMALL_CONFIG["timing"], "run": {"n_pairs": 2}}))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data"),
+                     "--subjects", "40"]) == 0
+        paths = sorted(map(str, (tmp_path / "data").glob("*.nsr")))
+        hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+
+        def evaluate_under(out: str, limits):
+            def set_limits():
+                if limits is not None:
+                    resource.setrlimit(resource.RLIMIT_NOFILE, limits)
+            return subprocess.run(
+                [sys.executable, "-m", "swarmbci.cli", "evaluate", *paths, "--config",
+                 str(config), "--out", str(tmp_path / out), "--jobs", "2"],
+                preexec_fn=set_limits, capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
+
+        assert evaluate_under("free.json", None).returncode == 0
+        raised = evaluate_under("raised.json", (32, min(hard, 4096)))
+        assert raised.returncode == 0, raised.stderr
+        assert "subjects=40" in raised.stdout
+        assert (tmp_path / "raised.json").read_bytes() == (tmp_path / "free.json").read_bytes()
+        refused = evaluate_under("refused.json", (32, 32))
+        assert refused.returncode == 1
+        assert refused.stderr.startswith("error: evaluate holds its 40 input files open")
+        assert "the open-file limit is 32," in refused.stderr
+        assert not (tmp_path / "refused.json").exists()
 
 
 class TestSimulate:

@@ -288,7 +288,7 @@ class TestCspFeatures:
     def test_channel_mismatch(self):
         model = self._model()
         rng = np.random.default_rng(16)
-        lda_model = LdaModel(np.zeros(2), 0.0, 0.0)
+        lda_model = LdaModel(np.zeros(2), 0.0)
         decoder = DecoderModel({c: (model, lda_model) for c in (1, 2, 3, 4)}, "plain",
                                feature_projector([model] * 4))
         with pytest.raises(ValueError, match="channels"):

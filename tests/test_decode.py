@@ -394,7 +394,7 @@ class TestPredict:
     def test_all_zero_model_ties_break_to_class_1(self):
         n = 4
         csp_model = CspModel(np.eye(n), np.full(n, 0.5), (0, 1, 2, 3))
-        lda_model = LdaModel(np.zeros(n), 0.0, 0.0)
+        lda_model = LdaModel(np.zeros(n), 0.0)
         model = DecoderModel({c: (csp_model, lda_model) for c in (1, 2, 3, 4)}, "plain",
                              feature_projector([csp_model] * 4))
         rng = np.random.default_rng(2)
@@ -406,7 +406,7 @@ class TestPredict:
         ts = small_synth_trialset(trials_per_class=5, seed=9)
         model = fit_trials(ts.trials)
         shifted = DecoderModel(
-            {c: (csp, LdaModel(lda.weights, lda.bias + 17.5, lda.shrinkage))
+            {c: (csp, LdaModel(lda.weights, lda.bias + 17.5))
              for c, (csp, lda) in model.per_class.items()},
             model.log_variance_mode, model.projector)
         for t in ts.trials[:8]:

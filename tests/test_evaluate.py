@@ -283,7 +283,7 @@ class TestEvaluateRecording:
         # between full ones: each trial reuses the filter buffer of the one before.
         extra = [EventMarker(0, 1), EventMarker(spec.settle_len // 3, 2),
                  EventMarker(end - t_len - spec.settle_len // 2, 3), EventMarker(end - t_len, 4)]
-        markers = sorted(subject.markers + extra, key=lambda m: m.sample_index)
+        markers = sorted([*subject.markers, *extra], key=lambda m: m.sample_index)
         rec = Recording("clipped", 250.0, subject.layout, subject.data, markers)
         save_recording(rec, tmp_path / "r.nsr")
         margin = spec.settle_len if stage == "continuous" else 0

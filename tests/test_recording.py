@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from swarmbci.recording import (
     NsrFormatError,
     ParadigmTiming,
     Recording,
+    RecordingFile,
     Trial,
     TrialSet,
     extract_trials,
@@ -85,11 +87,10 @@ class TestNsrFormat:
 
     def test_save_rejects_shape_mismatch_before_write(self, tmp_path):
         rec = make_recording(n_channels=4, n_samples=100)
-        rec.data = rec.data[:3]  # break the invariant post-construction
-        path = tmp_path / "never.nsr"
-        with pytest.raises(ValueError):
-            save_recording(rec, path)
-        assert not path.exists()
+        with pytest.raises(FrozenInstanceError):
+            rec.data = rec.data[:3]  # a recording cannot be broken after it is checked
+        assert rec.data.shape == (4, 100)
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_markers_serialized_as_empty_array(self, tmp_path):
         rec = make_recording()
@@ -445,11 +446,10 @@ class TestRecordingInvariants:
         with pytest.raises(ValueError, match="notch_hz must be finite"):
             Recording("x", 250.0, ChannelLayout.generic(2), np.zeros((2, 10)), [], notch)
         rec = make_recording()
-        rec.notch_applied_hz = notch
-        path = tmp_path / "r.nsr"
-        with pytest.raises(ValueError, match="notch_hz must be finite"):
-            save_recording(rec, path)
-        assert not path.exists()
+        with pytest.raises(FrozenInstanceError):
+            rec.notch_applied_hz = notch
+        assert rec.notch_applied_hz is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_default_layout_has_64_channels(self):
         assert ChannelLayout.default_64().count == 64
@@ -457,6 +457,41 @@ class TestRecordingInvariants:
     def test_bad_event_code(self):
         with pytest.raises(ValueError, match="event_code"):
             EventMarker(0, 5)
+
+    @pytest.mark.parametrize("fs, notch, markers, message", [
+        (float("nan"), None, (), "sampling_rate_hz must be positive and finite, got nan"),
+        (float("inf"), None, (), "sampling_rate_hz must be positive and finite, got inf"),
+        (250.0, float("nan"), (), "notch_hz must be finite, got nan"),
+        (250.0, None, ((5, 1), (2, 2)), "markers must be sorted ascending by sample_index"),
+        (250.0, None, ((2, 1), (10, 2)), "marker 1 out of range: sample_index 10 >= n_samples 10"),
+    ])
+    def test_recording_file_checks_its_header_as_a_recording_does(self, fs, notch, markers,
+                                                                   message):
+        layout, events = ChannelLayout.generic(2), tuple(EventMarker(*m) for m in markers)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Recording("x", fs, layout, np.zeros((2, 10)), events, notch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RecordingFile("x.nsr", "x", fs, layout, events, notch, 10, 0, -1)
+
+
+def _frozen_records(tmp_path) -> dict:
+    """One of each record type, by its name."""
+    rec = make_recording(n_channels=2, n_samples=4000, markers=[(0, 1)])
+    save_recording(rec, tmp_path / "r.nsr")
+    trials = extract_trials(rec)
+    return {"Recording": rec, "RecordingFile": open_recording(tmp_path / "r.nsr"),
+            "TrialSet": trials, "Trial": trials.trials[0], "EventMarker": rec.markers[0]}
+
+
+@pytest.mark.parametrize("kind, name", [
+    (cls.__name__, f.name) for cls in (Recording, RecordingFile, TrialSet, Trial, EventMarker)
+    for f in fields(cls)])
+def test_every_record_field_refuses_assignment(kind, name, tmp_path):
+    record = _frozen_records(tmp_path)[kind]
+    before = getattr(record, name)
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, name, None)
+    assert getattr(record, name) is before
 
 
 class TestParadigmTiming:
@@ -517,11 +552,11 @@ class TestExtractTrials:
         assert len(extract_trials(rec, ParadigmTiming(), indices=range(2, 2))) == 0
 
     @pytest.mark.parametrize("margin", [-1, -5])
-    def test_negative_margin_refused_before_any_read(self, margin):
+    def test_negative_margin_refused_before_any_read(self, margin, monkeypatch):
         # A negative margin would crop a window shorter than the trial.
         rec = make_recording(n_channels=2, n_samples=8000, fs=1000.0, markers=[(3000, 1)])
         reads = []
-        rec.window = lambda start, stop: reads.append((start, stop))
+        monkeypatch.setattr(Recording, "window", lambda self, start, stop: reads.append((start, stop)))
         with pytest.raises(ValueError, match=rf"^margin must be >= 0, got {margin}$"):
             extract_trials(rec, ParadigmTiming(), margin=margin)
         assert reads == []
